@@ -46,9 +46,12 @@ void BM_EngineCancelledEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelledEvent);
 
-// The dispatcher's timer churn: every resume cancels the previous completion
-// and schedules a new one, so most scheduled events die without firing. This
-// exercises the stale-entry purge and the bulk compaction.
+// Cancel-and-reschedule churn on one calendar handle, so most scheduled
+// events die without firing: the pattern of device timers re-programmed
+// before they expire (PIT rate changes, audio/USB frame restarts) and fault
+// plans re-drawing their next activation. This exercises the stale-entry
+// purge and the bulk compaction. The dispatcher's pause/resume churn uses a
+// deadline lane instead; BM_DispatcherLaneRearm measures it.
 void BM_EngineCancelHeavy(benchmark::State& state) {
   sim::Engine engine;
   sim::EventHandle completion;
@@ -65,6 +68,27 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EngineCancelHeavy);
+
+// The dispatcher's preemption round trip through the core's completion
+// lane: each iteration injects a 1-cycle HIGH section over a thread in a
+// long compute segment (pausing the thread disarms the lane, the section
+// arms it) and serves the section's completion (popping the frame re-arms
+// the lane with the thread's remaining work). No calendar entry is made.
+void BM_DispatcherLaneRearm(benchmark::State& state) {
+  lab::TestSystemOptions options;
+  options.kernel_self_noise = false;
+  lab::TestSystem system(kernel::MakeNt4Profile(), 42, options);
+  kernel::Kernel& k = system.kernel();
+  k.PsCreateSystemThread("bm_spin", 8, [&k] { k.Compute(1e9, [] {}); });
+  system.RunFor(0.001);
+  const kernel::Label label{"BM", "_section"};
+  for (auto _ : state) {
+    k.dispatcher().InjectSection(kernel::Irql::kHigh, 1, label);
+    system.engine().Step();
+  }
+  benchmark::DoNotOptimize(k.dispatcher().sections_run());
+}
+BENCHMARK(BM_DispatcherLaneRearm);
 
 // The ladder queue's headline case: a burst of same-instant expirations (a
 // PIT tick's worth of due timers) collapses into one sorted drain batch and

@@ -71,8 +71,10 @@ stats::LatencyHistogram MeasureReads(lab::TestSystem& system, int reads) {
   auto done = std::make_shared<kernel::KEvent>();
   irp->on_complete = [&k, done](kernel::Irp*) { k.KeSetEvent(done.get()); };
   auto remaining = std::make_shared<int>(reads);
+  // The loop refers to itself weakly and this function owns it: a closure
+  // holding its own shared_ptr is a reference cycle that is never freed.
   auto loop = std::make_shared<std::function<void()>>();
-  *loop = [&, irp, done, remaining, loop] {
+  *loop = [&, irp, done, remaining, again = std::weak_ptr(loop)] {
     if (--*remaining < 0) {
       k.ExitThread();
       return;
@@ -80,9 +82,11 @@ stats::LatencyHistogram MeasureReads(lab::TestSystem& system, int reads) {
     const sim::Cycles start = k.GetCycleCount();
     k.io().IoCallDriver(k.io().TopOfStack("\\Device\\Fat0"), irp.get(),
                         kernel::IrpMajor::kRead);
-    k.Wait(done.get(), [&, start, loop] {
+    k.Wait(done.get(), [&, start, again] {
       latency.Record(k.GetCycleCount() - start);
-      (*loop)();
+      if (auto loop = again.lock()) {
+        (*loop)();
+      }
     });
   };
   k.PsCreateSystemThread("reader", 9, [loop] { (*loop)(); });

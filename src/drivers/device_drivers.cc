@@ -34,8 +34,9 @@ DiskDriver::DiskDriver(kernel::Kernel& kernel, hw::IdeDisk& disk, int line)
 void DiskDriver::SubmitIo(std::uint32_t bytes, std::function<void()> on_done) {
   // The hardware calls back at completion time (before asserting the
   // interrupt); the callback's effects are delivered by the completion DPC.
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  disk_.SubmitTransfer(bytes, [this, done] { done_queue_.push_back(std::move(*done)); });
+  disk_.SubmitTransfer(bytes, [this, done = std::move(on_done)]() mutable {
+    done_queue_.push_back(std::move(done));
+  });
 }
 
 NicDriver::NicDriver(kernel::Kernel& kernel, hw::Nic& nic, int line)

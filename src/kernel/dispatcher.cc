@@ -1,5 +1,6 @@
 #include "src/kernel/dispatcher.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -10,6 +11,8 @@ namespace wdmlat::kernel {
 Dispatcher::Dispatcher(sim::Engine& engine, sim::Rng rng, hw::InterruptController& pic,
                        ReadyQueue& ready, DpcQueue& dpcs, Config config)
     : engine_(engine), rng_(rng), pic_(pic), ready_(ready), dpcs_(dpcs), cfg_(config) {
+  lane_ = engine_.OpenLane([](void* self) { static_cast<Dispatcher*>(self)->OnCompletion(); },
+                           this);
   pic_.set_pending_notifier([this] { OnInterruptPending(); });
   dpcs_.set_notifier([this] { OnDpcQueued(); });
 }
@@ -67,7 +70,7 @@ void Dispatcher::OnClockTick(sim::Cycles period) {
 
 Irql Dispatcher::EffectiveIrql() const {
   if (!stack_.empty()) {
-    return stack_.back()->irql;
+    return stack_.back().irql;
   }
   if (dpc_frame_) {
     return Irql::kDispatch;
@@ -79,9 +82,16 @@ Irql Dispatcher::EffectiveIrql() const {
 }
 
 Label Dispatcher::CurrentLabel() const {
-  if (!stack_.empty()) {
-    return stack_.back()->label;
-  }
+  return stack_.empty() ? BelowStackLabel() : stack_.back().label;
+}
+
+Label Dispatcher::InterruptedLabel() const {
+  // With one interrupt frame (or none), what it interrupted is the
+  // DPC/thread level.
+  return stack_.size() >= 2 ? stack_[stack_.size() - 2].label : BelowStackLabel();
+}
+
+Label Dispatcher::BelowStackLabel() const {
   if (dpc_frame_) {
     return dpc_frame_->label;
   }
@@ -94,28 +104,6 @@ Label Dispatcher::CurrentLabel() const {
     }
   }
   return kIdleLabel;
-}
-
-Label Dispatcher::InterruptedLabel() const {
-  if (stack_.size() >= 2) {
-    return stack_[stack_.size() - 2]->label;
-  }
-  if (!stack_.empty()) {
-    // Only one interrupt frame: what it interrupted is the DPC/thread level.
-    if (dpc_frame_) {
-      return dpc_frame_->label;
-    }
-    if (current_ != nullptr) {
-      if (thread_phase_ == ThreadPhase::kSwitch) {
-        return kDispatcherLabel;
-      }
-      if (current_->has_segment_) {
-        return current_->seg_label_;
-      }
-    }
-    return kIdleLabel;
-  }
-  return CurrentLabel();
 }
 
 bool Dispatcher::idle() const {
@@ -133,13 +121,13 @@ void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
     violations->push_back("core spinning for its DPC queue lock while a DPC frame is active");
   }
   for (std::size_t i = 0; i < stack_.size(); ++i) {
-    const Frame& frame = *stack_[i];
-    if (i > 0 && frame.irql <= stack_[i - 1]->irql) {
+    const Frame& frame = stack_[i];
+    if (i > 0 && frame.irql <= stack_[i - 1].irql) {
       violations->push_back("interrupt stack IRQLs not strictly increasing: frame " +
                             std::to_string(i) + " at " + IrqlName(frame.irql) + " (" +
                             std::to_string(ToLevel(frame.irql)) + ") atop frame " +
                             std::to_string(i - 1) + " at " +
-                            std::to_string(ToLevel(stack_[i - 1]->irql)));
+                            std::to_string(ToLevel(stack_[i - 1].irql)));
     }
     if (frame.irql > Irql::kHigh) {
       violations->push_back("frame " + std::to_string(i) + " carries IRQL " +
@@ -160,6 +148,15 @@ void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
   } else if (dpc_frame_ && dpc_frame_->running && thread_running_) {
     violations->push_back("thread timer running while a DPC is running");
   }
+  // The lane holds the one running activity's completion, and nothing else.
+  const auto running = std::count_if(stack_.begin(), stack_.end(),
+                                     [](const Frame& frame) { return frame.running; }) +
+                       (dpc_frame_ && dpc_frame_->running) + thread_running_;
+  if (engine_.lane_armed(lane_) != (running == 1)) {
+    violations->push_back(std::string("completion lane ") +
+                          (engine_.lane_armed(lane_) ? "armed" : "disarmed") + " while " +
+                          std::to_string(running) + " activities are marked running");
+  }
 }
 
 bool Dispatcher::InjectSection(Irql irql, sim::Cycles length, Label label) {
@@ -169,15 +166,8 @@ bool Dispatcher::InjectSection(Irql irql, sim::Cycles length, Label label) {
     return false;
   }
   PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = irql;
-  frame->label = label;
-  frame->is_isr = false;
-  frame->remaining = length;
-  frame->created_at = engine_.now();
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp] { PopFrame(fp); };
-  stack_.push_back(std::move(frame));
+  stack_.push_back(Frame{.phase = FramePhase::kSection, .irql = irql, .label = label,
+                         .started_at = engine_.now(), .remaining = length});
   ++sections_run_;
   Emit(TraceEventType::kSectionStart, label, -1, length);
   return true;
@@ -287,29 +277,27 @@ void Dispatcher::AcceptInterrupt(int line) {
     return;
   }
   PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = ki->irql();
-  frame->label = kTrapDispatchLabel;
-  frame->is_isr = true;
-  frame->line = line;
-  frame->asserted = asserted;
-  frame->interrupt = ki;
-  frame->remaining = cfg_.isr_dispatch_overhead.Sample(rng_);
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp] { IsrEntry(fp); };
-  stack_.push_back(std::move(frame));
+  stack_.push_back(Frame{.phase = FramePhase::kIsrDispatch, .irql = ki->irql(),
+                         .label = kTrapDispatchLabel, .line = line, .interrupt = ki,
+                         .queued_at = asserted,
+                         .remaining = cfg_.isr_dispatch_overhead.Sample(rng_)});
   ++interrupts_accepted_;
   Emit(TraceEventType::kIsrAccept, kTrapDispatchLabel, line, 0);
 }
 
-void Dispatcher::IsrEntry(Frame* frame) {
-  KInterrupt* ki = frame->interrupt;
-  frame->label = ki->label();
-  frame->entered_at = engine_.now();
+void Dispatcher::IsrEntry() {
+  // The ISR and its hooks may push higher-IRQL sections (reallocating
+  // stack_), so the frame is re-found by index after they run.
+  const std::size_t index = stack_.size() - 1;
+  Frame& frame = stack_[index];
+  KInterrupt* ki = frame.interrupt;
+  frame.phase = FramePhase::kIsrBody;
+  frame.label = ki->label();
+  frame.started_at = engine_.now();
   ++ki->fire_count_;
-  Emit(TraceEventType::kIsrEnter, frame->label, frame->line, 0);
+  Emit(TraceEventType::kIsrEnter, frame.label, frame.line, 0);
   if (on_isr_entry) {
-    on_isr_entry(frame->line, frame->asserted, engine_.now());
+    on_isr_entry(frame.line, frame.queued_at, engine_.now());
   }
   PushCoreContext();
   for (const auto& hook : ki->pre_hooks_) {
@@ -317,18 +305,13 @@ void Dispatcher::IsrEntry(Frame* frame) {
   }
   const sim::Cycles body = ki->isr_ ? ki->isr_() : 0;
   PopCoreContext();
-  frame->remaining = body;
-  frame->on_elapsed = [this, frame] { PopFrame(frame); };
+  stack_[index].remaining = body;
 }
 
-void Dispatcher::PopFrame(Frame* frame) {
-  assert(!stack_.empty() && stack_.back().get() == frame);
-  if (frame->is_isr) {
-    Emit(TraceEventType::kIsrExit, frame->label, frame->line,
-         engine_.now() - frame->entered_at);
-  } else {
-    Emit(TraceEventType::kSectionEnd, frame->label, -1, engine_.now() - frame->created_at);
-  }
+void Dispatcher::PopFrame() {
+  const Frame& frame = stack_.back();  // a section's line is -1
+  Emit(frame.phase == FramePhase::kIsrBody ? TraceEventType::kIsrExit : TraceEventType::kSectionEnd,
+       frame.label, frame.line, engine_.now() - frame.started_at);
   stack_.pop_back();
 }
 
@@ -337,20 +320,20 @@ void Dispatcher::StartNextDpc() {
   assert(dpc != nullptr);
   const sim::Cycles enqueued = dpc->enqueue_time();
   PauseActive();
-  auto frame = std::make_unique<Frame>();
-  frame->irql = Irql::kDispatch;
-  frame->label = kDispatcherLabel;  // dequeue overhead phase
-  frame->is_isr = false;
-  frame->remaining = cfg_.dpc_dispatch_cost.Sample(rng_);
-  Frame* fp = frame.get();
-  frame->on_elapsed = [this, fp, dpc, enqueued] { DpcEntry(fp, dpc, enqueued); };
-  dpc_frame_ = std::move(frame);
+  dpc_frame_ = Frame{.phase = FramePhase::kDpcFetch, .irql = Irql::kDispatch,
+                     .label = kDispatcherLabel,  // dequeue overhead phase
+                     .dpc = dpc, .queued_at = enqueued,
+                     .remaining = cfg_.dpc_dispatch_cost.Sample(rng_)};
   ++dpcs_dispatched_;
   Emit(TraceEventType::kDpcFetch, kDispatcherLabel, -1, 0);
 }
 
-void Dispatcher::DpcEntry(Frame* frame, KDpc* dpc, sim::Cycles enqueued) {
-  frame->label = dpc->label();
+void Dispatcher::DpcEntry() {
+  Frame& frame = *dpc_frame_;
+  KDpc* dpc = frame.dpc;
+  const sim::Cycles enqueued = frame.queued_at;
+  frame.phase = FramePhase::kDpcBody;
+  frame.label = dpc->label();
   ++dpc->dispatch_count_;
   if (on_dpc_start) {
     on_dpc_start(*dpc, enqueued, engine_.now());
@@ -361,12 +344,13 @@ void Dispatcher::DpcEntry(Frame* frame, KDpc* dpc, sim::Cycles enqueued) {
     dpc->routine_();
     PopCoreContext();
   }
-  frame->remaining = dpc->body_.Sample(rng_);
-  const sim::Cycles started = engine_.now();
-  frame->on_elapsed = [this, dpc, started] { FinishDpc(dpc, started); };
+  frame.remaining = dpc->body_.Sample(rng_);
+  frame.started_at = engine_.now();
 }
 
-void Dispatcher::FinishDpc(KDpc* dpc, sim::Cycles started) {
+void Dispatcher::FinishDpc() {
+  KDpc* dpc = dpc_frame_->dpc;
+  const sim::Cycles started = dpc_frame_->started_at;
   dpc_frame_.reset();
   Emit(TraceEventType::kDpcEnd, dpc->label(), -1, engine_.now() - started);
   if (dpc->on_complete_) {
@@ -435,9 +419,14 @@ void Dispatcher::PreemptCurrent(bool to_front) {
   assert(current_ != nullptr && thread_phase_ == ThreadPhase::kSegment);
   PauseThreadTimer();
   KThread* thread = current_;
-  thread->state_ = ThreadState::kReady;
   thread->readied_at_ = engine_.now();
   ready_.Push(thread, to_front);
+  StopCurrent(ThreadState::kReady);
+}
+
+void Dispatcher::StopCurrent(ThreadState state) {
+  KThread* thread = current_;
+  thread->state_ = state;
   current_ = nullptr;
   thread_phase_ = ThreadPhase::kNone;
   thread_irql_ = Irql::kPassive;
@@ -483,38 +472,19 @@ void Dispatcher::RunContinuation(KThread::Continuation cont) {
 void Dispatcher::AfterContinuation() {
   KThread* thread = current_;
   assert(thread != nullptr);
-  if (cont_exited_) {
-    thread->state_ = ThreadState::kTerminated;
-    current_ = nullptr;
-    thread_phase_ = ThreadPhase::kNone;
-    thread_irql_ = Irql::kPassive;
-    Emit(TraceEventType::kThreadStop, kDispatcherLabel, thread->priority(), 0);
-    return;
-  }
-  if (cont_blocked_) {
-    thread->state_ = ThreadState::kWaiting;
-    current_ = nullptr;
-    thread_phase_ = ThreadPhase::kNone;
-    thread_irql_ = Irql::kPassive;
-    Emit(TraceEventType::kThreadStop, kDispatcherLabel, thread->priority(), 0);
-    return;
-  }
-  if (thread->has_segment_) {
+  if (cont_exited_ || (!cont_blocked_ && !thread->has_segment_)) {
+    // Exited — or returned without computing, waiting, or exiting: nothing
+    // left to run, which is also termination.
+    StopCurrent(ThreadState::kTerminated);
+  } else if (cont_blocked_) {
+    StopCurrent(ThreadState::kWaiting);
+  } else {
     thread_phase_ = ThreadPhase::kSegment;
     thread_irql_ = thread->seg_irql_;
-    return;
   }
-  // The continuation returned without computing, waiting, or exiting:
-  // nothing left to run — treat it as thread termination.
-  thread->state_ = ThreadState::kTerminated;
-  current_ = nullptr;
-  thread_phase_ = ThreadPhase::kNone;
-  thread_irql_ = Irql::kPassive;
-  Emit(TraceEventType::kThreadStop, kDispatcherLabel, thread->priority(), 0);
 }
 
 void Dispatcher::OnThreadElapsed() {
-  Gate gate(this);
   thread_running_ = false;
   assert(current_ != nullptr);
   if (thread_phase_ == ThreadPhase::kSwitch) {
@@ -529,23 +499,37 @@ void Dispatcher::OnThreadElapsed() {
   RunContinuation(std::move(done));
 }
 
-void Dispatcher::OnFrameElapsed(Frame* frame) {
+void Dispatcher::OnCompletion() {
   Gate gate(this);
+  Frame* frame = !stack_.empty() ? &stack_.back() : dpc_frame_ ? &*dpc_frame_ : nullptr;
+  if (frame == nullptr) {
+    OnThreadElapsed();
+    return;
+  }
+  assert(frame->running);
   frame->running = false;
-  auto handler = std::move(frame->on_elapsed);
-  frame->on_elapsed = nullptr;
-  handler();  // may mutate or destroy `frame`
+  switch (frame->phase) {
+    case FramePhase::kIsrDispatch:
+      return IsrEntry();
+    case FramePhase::kDpcFetch:
+      return DpcEntry();
+    case FramePhase::kDpcBody:
+      return FinishDpc();
+    case FramePhase::kIsrBody:
+    case FramePhase::kSection:
+      return PopFrame();
+  }
 }
 
 // --- Pause / resume machinery -------------------------------------------------
 
 void Dispatcher::PauseActive() {
   if (!stack_.empty()) {
-    PauseFrame(stack_.back().get());
+    PauseFrame(stack_.back());
     return;
   }
   if (dpc_frame_) {
-    PauseFrame(dpc_frame_.get());
+    PauseFrame(*dpc_frame_);
     return;
   }
   PauseThreadTimer();
@@ -553,11 +537,11 @@ void Dispatcher::PauseActive() {
 
 void Dispatcher::EnsureActiveRunning() {
   if (!stack_.empty()) {
-    ResumeFrame(stack_.back().get());
+    ResumeFrame(stack_.back());
     return;
   }
   if (dpc_frame_) {
-    ResumeFrame(dpc_frame_.get());
+    ResumeFrame(*dpc_frame_);
     return;
   }
   if (current_ != nullptr && thread_phase_ != ThreadPhase::kNone) {
@@ -565,27 +549,18 @@ void Dispatcher::EnsureActiveRunning() {
   }
 }
 
-void Dispatcher::PauseFrame(Frame* frame) {
-  if (!frame->running) {
-    return;
+void Dispatcher::PauseFrame(Frame& frame) {
+  if (frame.running) {
+    frame.remaining = engine_.DisarmLane(lane_);
+    frame.running = false;
   }
-  const sim::Cycles elapsed = engine_.now() - frame->resumed_at;
-  frame->remaining = frame->remaining > elapsed ? frame->remaining - elapsed : 0;
-  frame->completion.Cancel();
-  frame->running = false;
 }
 
-void Dispatcher::ResumeFrame(Frame* frame) {
-  if (frame->running) {
-    return;
+void Dispatcher::ResumeFrame(Frame& frame) {
+  if (!frame.running) {
+    frame.running = true;
+    engine_.ArmLane(lane_, frame.remaining);
   }
-  frame->resumed_at = engine_.now();
-  frame->running = true;
-  auto on_elapsed = [this, frame] { OnFrameElapsed(frame); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(on_elapsed)>,
-                "frame completions are the engine's hottest clients and must "
-                "never take the callback heap-fallback path");
-  frame->completion = engine_.ScheduleAfter(frame->remaining, std::move(on_elapsed));
 }
 
 sim::Cycles& Dispatcher::ActiveThreadRemaining() {
@@ -593,15 +568,10 @@ sim::Cycles& Dispatcher::ActiveThreadRemaining() {
 }
 
 void Dispatcher::PauseThreadTimer() {
-  if (!thread_running_) {
-    return;
+  if (thread_running_) {
+    ActiveThreadRemaining() = engine_.DisarmLane(lane_);
+    thread_running_ = false;
   }
-  assert(current_ != nullptr);
-  const sim::Cycles elapsed = engine_.now() - thread_resumed_at_;
-  sim::Cycles& remaining = ActiveThreadRemaining();
-  remaining = remaining > elapsed ? remaining - elapsed : 0;
-  thread_completion_.Cancel();
-  thread_running_ = false;
 }
 
 void Dispatcher::ResumeThreadTimer() {
@@ -614,13 +584,8 @@ void Dispatcher::ResumeThreadTimer() {
   if (thread_phase_ == ThreadPhase::kSegment && !current_->has_segment_) {
     return;
   }
-  thread_resumed_at_ = engine_.now();
   thread_running_ = true;
-  auto on_elapsed = [this] { OnThreadElapsed(); };
-  static_assert(sim::InplaceCallback::kFitsInline<decltype(on_elapsed)>,
-                "thread completions are on the engine hot path and must "
-                "never take the callback heap-fallback path");
-  thread_completion_ = engine_.ScheduleAfter(ActiveThreadRemaining(), std::move(on_elapsed));
+  engine_.ArmLane(lane_, ActiveThreadRemaining());
 }
 
 }  // namespace wdmlat::kernel

@@ -12,7 +12,11 @@
 //
 // Each timed entity is preemptible: when a more privileged entity becomes
 // runnable, the active one is paused (its remaining work saved) and resumed
-// when the stack above it drains. Pending interrupts are accepted only when
+// when the stack above it drains. Only the innermost entity ever runs, so a
+// core has exactly one pending completion; it lives in a single engine
+// deadline lane (sim::Engine::ArmLane) that resuming arms and pausing
+// disarms, and its handler is the running frame's phase — no per-frame
+// event, callback or allocation. Pending interrupts are accepted only when
 // the effective IRQL drops below their line's IRQL — the time from assertion
 // to ISR entry is the paper's interrupt latency. DPCs drain FIFO when no ISR
 // is active — queueing delay is the paper's DPC latency. Threads dispatch
@@ -26,7 +30,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +61,7 @@ class Dispatcher {
   Dispatcher(sim::Engine& engine, sim::Rng rng, hw::InterruptController& pic,
              ReadyQueue& ready, DpcQueue& dpcs, Config config);
 
+  ~Dispatcher() { engine_.CloseLane(lane_); }
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
@@ -112,8 +117,10 @@ class Dispatcher {
   // from engine-idle context (between simulation slices, never from inside a
   // Gate). Validates: no gate is open, interrupt-stack IRQLs strictly
   // increase bottom-to-top and stay above DISPATCH, exactly the innermost
-  // activity (top frame, else DPC, else thread) is marked running, and
-  // paused activities below it are not. Appends one line per violation.
+  // activity (top frame, else DPC, else thread) is marked running, paused
+  // activities below it are not, and the core's completion lane is armed
+  // exactly when one activity is marked running. Appends one line per
+  // violation.
   void AuditDiscipline(std::vector<std::string>* violations) const;
 
   // --- Legacy / stress injection ---------------------------------------------
@@ -164,21 +171,23 @@ class Dispatcher {
 
  private:
   enum class ThreadPhase : std::uint8_t { kNone, kSwitch, kSegment };
+  // What a frame's completion does when its remaining work elapses: an ISR
+  // frame runs the trap/dispatch overhead, then the ISR body, then pops; a
+  // DPC frame runs the dequeue overhead, then the DPC body, then finishes;
+  // a section runs once and pops.
+  enum class FramePhase : std::uint8_t { kIsrDispatch, kIsrBody, kSection, kDpcFetch, kDpcBody };
 
   struct Frame {
+    FramePhase phase = FramePhase::kSection;
     Irql irql = Irql::kHigh;
     Label label{};
-    bool is_isr = false;
-    int line = -1;
-    sim::Cycles asserted = 0;
-    KInterrupt* interrupt = nullptr;
-    sim::Cycles remaining = 0;
-    sim::Cycles resumed_at = 0;
-    sim::Cycles created_at = 0;
-    sim::Cycles entered_at = 0;
     bool running = false;
-    sim::EventHandle completion;
-    std::function<void()> on_elapsed;
+    int line = -1;                     // ISR frames
+    KInterrupt* interrupt = nullptr;   // ISR frames
+    KDpc* dpc = nullptr;               // DPC frames
+    sim::Cycles queued_at = 0;         // ISR: line assertion; DPC: enqueue
+    sim::Cycles started_at = 0;        // section: creation; ISR/DPC: body entry
+    sim::Cycles remaining = 0;
   };
 
   // Re-entrancy gate: every public entry point opens one; the outermost gate
@@ -206,29 +215,38 @@ class Dispatcher {
   friend class Gate;
 
   void ReevaluateOnce();
+  // Label of the DPC/thread level beneath the interrupt stack.
+  Label BelowStackLabel() const;
   void AcceptInterrupt(int line);
-  void IsrEntry(Frame* frame);
-  void PopFrame(Frame* frame);
+  void IsrEntry();
+  void PopFrame();
   void StartNextDpc();
-  void DpcEntry(Frame* frame, KDpc* dpc, sim::Cycles enqueued);
-  void FinishDpc(KDpc* dpc, sim::Cycles started);
+  void DpcEntry();
+  void FinishDpc();
   void MaybeDispatchThread();
   void SwitchTo(KThread* thread);
   void PreemptCurrent(bool to_front);
+  // Take the current thread off the CPU in `state` (ready, waiting, done).
+  void StopCurrent(ThreadState state);
   void ThreadEntry();
   void RunContinuation(KThread::Continuation cont);
   void AfterContinuation();
   void OnThreadElapsed();
-  void OnFrameElapsed(Frame* frame);
+  // The lane handler: the innermost activity's remaining work has elapsed.
+  void OnCompletion();
 
   // Current-core context tracking for Smp (no-ops when unattached).
   void PushCoreContext();
   void PopCoreContext();
 
+  // The core's single active completion — top frame, else DPC frame, else
+  // the current thread's switch or segment — lives in one engine lane:
+  // Resume* arms it with the activity's remaining work, Pause* disarms it
+  // and banks what is left.
   void PauseActive();
   void EnsureActiveRunning();
-  void PauseFrame(Frame* frame);
-  void ResumeFrame(Frame* frame);
+  void PauseFrame(Frame& frame);
+  void ResumeFrame(Frame& frame);
   void PauseThreadTimer();
   void ResumeThreadTimer();
   sim::Cycles& ActiveThreadRemaining();
@@ -242,16 +260,15 @@ class Dispatcher {
 
   std::vector<KInterrupt*> interrupts_;  // indexed by line
 
-  std::vector<std::unique_ptr<Frame>> stack_;
-  std::unique_ptr<Frame> dpc_frame_;
+  sim::Engine::LaneId lane_;
+  std::vector<Frame> stack_;
+  std::optional<Frame> dpc_frame_;
 
   KThread* current_ = nullptr;
   ThreadPhase thread_phase_ = ThreadPhase::kNone;
   sim::Cycles switch_remaining_ = 0;
   Irql thread_irql_ = Irql::kPassive;
-  sim::Cycles thread_resumed_at_ = 0;
   bool thread_running_ = false;
-  sim::EventHandle thread_completion_;
   sim::Cycles quantum_remaining_ = 0;
   bool quantum_expired_ = false;
 

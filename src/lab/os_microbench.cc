@@ -1,5 +1,6 @@
 #include "src/lab/os_microbench.h"
 
+#include <functional>
 #include <memory>
 
 #include "src/kernel/kernel.h"
@@ -25,23 +26,29 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
     auto start = std::make_shared<sim::Cycles>(0);
     auto end = std::make_shared<sim::Cycles>(0);
 
+    // Each loop refers to itself weakly and this scope owns it: a closure
+    // holding its own shared_ptr is a reference cycle that is never freed.
     auto loop_a = std::make_shared<std::function<void()>>();
     auto loop_b = std::make_shared<std::function<void()>>();
-    *loop_a = [&k, ea, eb, remaining, end, loop_a] {
-      k.Wait(ea.get(), [&k, ea, eb, remaining, end, loop_a] {
+    *loop_a = [&k, ea, eb, remaining, end, again = std::weak_ptr(loop_a)] {
+      k.Wait(ea.get(), [&k, ea, eb, remaining, end, again] {
         if (--*remaining <= 0) {
           *end = k.GetCycleCount();
           k.ExitThread();
           return;
         }
         k.KeSetEvent(eb.get());
-        (*loop_a)();
+        if (auto loop = again.lock()) {
+          (*loop)();
+        }
       });
     };
-    *loop_b = [&k, ea, eb, loop_b] {
-      k.Wait(eb.get(), [&k, ea, eb, loop_b] {
+    *loop_b = [&k, ea, eb, again = std::weak_ptr(loop_b)] {
+      k.Wait(eb.get(), [&k, ea, eb, again] {
         k.KeSetEvent(ea.get());
-        (*loop_b)();
+        if (auto loop = again.lock()) {
+          (*loop)();
+        }
       });
     };
     k.PsCreateSystemThread("pingpong-a", 20, [loop_a] { (*loop_a)(); });
@@ -63,11 +70,13 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
     auto total = std::make_shared<sim::Cycles>(0);
     auto woken = std::make_shared<int>(0);
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&k, event, signaled_at, total, woken, loop] {
-      k.Wait(event.get(), [&k, signaled_at, total, woken, loop] {
+    *loop = [&k, event, signaled_at, total, woken, again = std::weak_ptr(loop)] {
+      k.Wait(event.get(), [&k, signaled_at, total, woken, again] {
         *total += k.GetCycleCount() - *signaled_at;
         ++*woken;
-        (*loop)();
+        if (auto loop = again.lock()) {
+          (*loop)();
+        }
       });
     };
     k.PsCreateSystemThread("wake-probe", 28, [loop] { (*loop)(); });

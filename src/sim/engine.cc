@@ -6,15 +6,13 @@ namespace wdmlat::sim {
 
 void Engine::RunUntilIdle() {
   stop_requested_ = false;
-  while (!stop_requested_ && Step()) {
+  while (!stop_requested_ && ServeNext(kNoDeadline)) {
   }
 }
 
 void Engine::RunUntil(Cycles deadline) {
   stop_requested_ = false;
-  QueueEntry entry;
-  while (!stop_requested_ && PopNextLive(deadline, &entry)) {
-    Fire(entry);
+  while (!stop_requested_ && ServeNext(deadline)) {
   }
   if (!stop_requested_ && now_ < deadline) {
     now_ = deadline;
@@ -53,6 +51,27 @@ void Engine::Reset() {
   compactions_ = 0;
   stop_requested_ = false;
   cur_epoch_ = 0;
+  for (Lane& lane : lanes_) {
+    lane.armed = false;
+  }
+  next_lane_ = kNoLane;
+}
+
+Engine::LaneId Engine::OpenLane(LaneFn fire, void* context) {
+  LaneId id = 0;
+  while (id < lanes_.size() && lanes_[id].fire != nullptr) {
+    ++id;
+  }
+  if (id == lanes_.size()) {
+    lanes_.emplace_back();
+  }
+  lanes_[id] = Lane{0, 0, fire, context, false};
+  return id;
+}
+
+void Engine::CloseLane(LaneId lane) {
+  lanes_[lane] = Lane{};
+  FindNextLane();
 }
 
 void Engine::AuditCalendar(std::vector<std::string>* violations) const {
@@ -183,12 +202,41 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
                           std::to_string(pool_->live()) + " live events");
   }
   pool_->AuditConsistency(violations);
+
+  // --- Deadline lanes: an armed lane is a live event like any other.
+  for (LaneId i = 0; i < lanes_.size(); ++i) {
+    const Lane& lane = lanes_[i];
+    if (!lane.armed) {
+      continue;
+    }
+    if (lane.fire == nullptr) {
+      violations->push_back("engine: closed lane " + std::to_string(i) + " is armed");
+    }
+    if (lane.when < now_) {
+      violations->push_back("engine: lane " + std::to_string(i) + " armed at " +
+                            std::to_string(lane.when) +
+                            " which is before now=" + std::to_string(now_));
+    }
+    if (lane.seq >= next_seq_) {
+      violations->push_back("engine: lane " + std::to_string(i) + " seq " +
+                            std::to_string(lane.seq) +
+                            " was never issued (next_seq=" + std::to_string(next_seq_) + ")");
+    }
+    if (next_lane_ == kNoLane || LaneFiresEarlier(lane, lanes_[next_lane_])) {
+      violations->push_back("engine: lane " + std::to_string(i) +
+                            " is armed earlier than the cached next lane");
+    }
+  }
+  if (next_lane_ != kNoLane && (next_lane_ >= lanes_.size() || !lanes_[next_lane_].armed)) {
+    violations->push_back("engine: cached next lane " + std::to_string(next_lane_) +
+                          " is not armed");
+  }
 }
 
 void Engine::Compact() {
-  // DispatcherTest-style workloads cancel constantly; without compaction the
-  // dead entries would sit in (possibly far-future) buckets until the drain
-  // cursor finally reaches their epoch.
+  // Cancel-heavy workloads (timers re-programmed before they fire) leave
+  // dead entries behind; without compaction they would sit in (possibly
+  // far-future) buckets until the drain cursor finally reaches their epoch.
   const auto is_dead = [this](const QueueEntry& entry) {
     return pool_->generation(entry.slot) != entry.generation;
   };
@@ -218,7 +266,7 @@ void Engine::Compact() {
   ++compactions_;
 }
 
-bool Engine::PopNextLiveSlow(Cycles deadline, QueueEntry* out) {
+bool Engine::PopNextLiveSlow(Cycles bound_when, std::uint64_t bound_seq, QueueEntry* out) {
   for (;;) {
     // Serve the (re)loaded batch — same loop as the inline fast path.
     while (batch_pos_ < batch_.size()) {
@@ -227,7 +275,7 @@ bool Engine::PopNextLiveSlow(Cycles deadline, QueueEntry* out) {
         ++batch_pos_;
         continue;
       }
-      if (entry.when > deadline) {
+      if (entry.when > bound_when || (entry.when == bound_when && entry.seq > bound_seq)) {
         return false;
       }
       *out = entry;
@@ -260,15 +308,16 @@ bool Engine::PopNextLiveSlow(Cycles deadline, QueueEntry* out) {
     } else {
       return false;
     }
-    if (target > cur_epoch_ && target > EpochOf(deadline)) {
-      // The next event lies beyond the deadline. Slide the window up to
-      // the deadline's epoch (now() will advance there), keeping the
-      // far-tier migration invariant intact. The current epoch's bucket is
-      // exempt from this epoch-granular check: it may hold below-window
-      // entries that are due, so it always loads and the serve loop's
-      // exact per-entry deadline test decides.
-      if (EpochOf(deadline) > cur_epoch_) {
-        cur_epoch_ = EpochOf(deadline);
+    if (target > cur_epoch_ && target > EpochOf(bound_when)) {
+      // The next event lies beyond the bound. Slide the window up to the
+      // bound's epoch (now() will advance there: to the deadline, or to the
+      // lane that fires instead), keeping the far-tier migration invariant
+      // intact. The current epoch's bucket is exempt from this
+      // epoch-granular check: it may hold below-window entries that are
+      // due, so it always loads and the serve loop's exact per-entry bound
+      // test decides.
+      if (EpochOf(bound_when) > cur_epoch_) {
+        cur_epoch_ = EpochOf(bound_when);
         MigrateFar();
       }
       return false;

@@ -7,7 +7,7 @@
 // hours of Windows activity run in wall-clock seconds.
 //
 // The calendar is a two-tier ladder queue tuned for the dominant traffic:
-// short-horizon periodic timers (PIT ticks, DPC completions, driver
+// short-horizon periodic timers (PIT ticks, device completions, driver
 // timeouts). A ring of near-future buckets gives O(1) insertion for
 // everything inside a ~112 ms horizon; beyond that a binary-heap overflow
 // tier holds the far future and migrates entries into the ring as the
@@ -19,6 +19,12 @@
 // events leave stale entries behind that are lazily purged when their epoch
 // drains and bulk-compacted when they outnumber the live ones (see
 // DESIGN.md §7 for the invariants).
+//
+// Beside the calendar sit deadline lanes: one re-armable deadline per owner
+// (each dispatcher core keeps its single active completion in one), fired
+// by the serve loop when it is earlier than the calendar head. Arming
+// reserves a sequence number, so a lane fires in exactly the (when, seq)
+// slot an equivalent ScheduleAfter would have taken.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -149,16 +155,9 @@ class Engine {
     return ScheduleAt(now_ + delay, std::forward<F>(cb));
   }
 
-  // Execute the next pending event, if any. Returns false when the calendar
-  // is empty.
-  bool Step() {
-    QueueEntry entry;
-    if (!PopNextLive(kNoDeadline, &entry)) {
-      return false;
-    }
-    Fire(entry);
-    return true;
-  }
+  // Execute the next pending event (calendar entry or armed lane), if any.
+  // Returns false when nothing is pending.
+  bool Step() { return ServeNext(kNoDeadline); }
 
   // Run events until the calendar is empty or a callback calls RequestStop().
   void RunUntilIdle();
@@ -174,8 +173,9 @@ class Engine {
   // sequence 0, empty calendar — while keeping every tier's grown capacity
   // (bucket vectors, overflow heap, drain batch, pool slabs). Outstanding
   // events are cancelled wholesale (their captured state is released and
-  // stale handles read "not pending"), so callers must have torn down
-  // anything that expects its callbacks to still fire. A run on a reset
+  // stale handles read "not pending") and every lane is disarmed (lanes
+  // stay open until their owners close them), so callers must have torn
+  // down anything that expects its callbacks to still fire. A run on a reset
   // engine is bit-identical to one on a new engine: fire order is (when,
   // seq) and both restart from zero (guarded by the fleet golden-checksum
   // test). Defined in engine.cc.
@@ -185,9 +185,51 @@ class Engine {
 
   // Number of scheduled-and-not-yet-fired events, excluding cancelled ones
   // (their calendar entries linger until lazily purged when their bucket
-  // drains or bulk-compacted, but they no longer count). Tests can therefore
-  // assert on calendar size.
-  std::size_t events_pending() const { return pool_->live(); }
+  // drains or bulk-compacted, but they no longer count), plus armed lanes.
+  // Tests can therefore assert on calendar size.
+  std::size_t events_pending() const {
+    return pool_->live() + static_cast<std::size_t>(std::count_if(
+                               lanes_.begin(), lanes_.end(),
+                               [](const Lane& lane) { return lane.armed; }));
+  }
+
+  // --- Deadline lanes ----------------------------------------------------------
+  // A lane is one re-armable deadline with a fixed handler, kept outside the
+  // calendar: arming costs no pool slot, no callback construction and no
+  // calendar entry, and re-arming leaves no stale entry behind. It suits an
+  // owner with exactly one pending completion at a time (a dispatcher core).
+  // ArmLane reserves the next sequence number, so an armed lane fires in the
+  // (when, seq) slot ScheduleAfter(delay, ...) would have taken at the same
+  // call, and re-arming is exactly cancel-plus-reschedule. Fired lanes count
+  // in events_processed(). The serve loop scans the armed lanes for the
+  // earliest one, so keep them few (one per simulated core).
+  using LaneId = std::uint32_t;
+  using LaneFn = void (*)(void* context);
+
+  // Register a lane that calls `fire(context)` when its deadline is served.
+  LaneId OpenLane(LaneFn fire, void* context);
+  // Disarm and release `lane`; its id may be reissued by a later OpenLane.
+  void CloseLane(LaneId lane);
+  // (Re-)arm `lane` to fire `delay` cycles from now.
+  void ArmLane(LaneId lane, Cycles delay) {
+    Lane& entry = lanes_[lane];
+    entry.when = now_ + delay;
+    entry.seq = next_seq_++;
+    entry.armed = true;
+    FindNextLane();
+  }
+  // Disarm `lane`; returns the cycles its deadline still lay ahead of now()
+  // (0 when it was not armed).
+  Cycles DisarmLane(LaneId lane) {
+    Lane& entry = lanes_[lane];
+    if (!entry.armed) {
+      return 0;
+    }
+    entry.armed = false;
+    FindNextLane();
+    return entry.when - now_;
+  }
+  bool lane_armed(LaneId lane) const { return lanes_[lane].armed; }
 
   // Observability: stale (cancelled) entries still occupying the calendar,
   // and how many times the calendar has been compacted.
@@ -204,7 +246,9 @@ class Engine {
   // batch's (when, seq) sort, that no live entry is scheduled in the past,
   // that every live pool slot owns exactly one calendar entry (count
   // conservation across tiers), that sequence numbers were issued before
-  // next_seq_, and the pool's slab/free-list/generation consistency.
+  // next_seq_, and the pool's slab/free-list/generation consistency. Armed
+  // lanes must not lie in the past or carry an unissued sequence number, and
+  // the cached earliest lane must be the earliest armed one.
   // Appends one line per violation; appends nothing when healthy.
   void AuditCalendar(std::vector<std::string>* violations) const;
 
@@ -239,7 +283,17 @@ class Engine {
     }
   };
 
+  struct Lane {
+    Cycles when = 0;
+    std::uint64_t seq = 0;
+    LaneFn fire = nullptr;  // nullptr: closed, free for reuse
+    void* context = nullptr;
+    bool armed = false;
+  };
+
   static constexpr Cycles kNoDeadline = std::numeric_limits<Cycles>::max();
+  static constexpr std::uint64_t kLastSeq = std::numeric_limits<std::uint64_t>::max();
+  static constexpr LaneId kNoLane = std::numeric_limits<LaneId>::max();
   // Below this calendar size, compaction is never worth the full-ring sweep;
   // the lazy purge on drain handles small backlogs for free.
   static constexpr std::size_t kCompactMinEntries = 64;
@@ -285,39 +339,92 @@ class Engine {
     MaybeCompact();
   }
 
+  // Fire the next event — the calendar head or the earliest armed lane,
+  // whichever is first in (when, seq) — if its time is <= `deadline`.
+  // Returns false when nothing is due. Shared by Step and the Run loops.
+  bool ServeNext(Cycles deadline) {
+    Cycles bound_when = deadline;
+    std::uint64_t bound_seq = kLastSeq;
+    const bool lane_due = next_lane_ != kNoLane && lanes_[next_lane_].when <= deadline;
+    if (lane_due) {
+      bound_when = lanes_[next_lane_].when;
+      bound_seq = lanes_[next_lane_].seq;
+    }
+    QueueEntry entry;
+    if (PopNextLive(bound_when, bound_seq, &entry)) {
+      Fire(entry);
+      return true;
+    }
+    if (lane_due) {
+      FireLane(next_lane_);
+      return true;
+    }
+    return false;
+  }
+
+  static bool LaneFiresEarlier(const Lane& a, const Lane& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
+  // Cache the earliest armed lane in next_lane_ (kNoLane when none is).
+  void FindNextLane() {
+    next_lane_ = kNoLane;
+    for (LaneId i = 0; i < lanes_.size(); ++i) {
+      if (lanes_[i].armed &&
+          (next_lane_ == kNoLane || LaneFiresEarlier(lanes_[i], lanes_[next_lane_]))) {
+        next_lane_ = i;
+      }
+    }
+  }
+
+  // Fire an armed lane: advance time, disarm it, run its handler.
+  void FireLane(LaneId index) {
+    Lane& lane = lanes_[index];
+    now_ = lane.when;
+    ++events_processed_;
+    lane.armed = false;
+    // Copy the handler out: it may open lanes, which can reallocate lanes_.
+    const LaneFn fire = lane.fire;
+    void* const context = lane.context;
+    FindNextLane();
+    fire(context);
+  }
+
   // Purge stale entries, slide the ring window, and pop the next live entry
-  // into `out` if its time is <= `deadline`. The single home of the drain
-  // logic shared by Step and RunUntil. One bucket epoch is loaded (sorted)
-  // per batch; every same-epoch expiration then drains by index increment.
+  // into `out` if it fires before the bound (`bound_when`, `bound_seq`) —
+  // an armed lane's slot, or (deadline, kLastSeq) for "time <= deadline".
+  // The single home of the drain logic shared by Step and RunUntil. One
+  // bucket epoch is loaded (sorted) per batch; every same-epoch expiration
+  // then drains by index increment.
   //
   // Split for code size: only the serve loop — the branch taken on nearly
   // every pop in steady state — stays in the header for inlining into
   // Step/RunUntil. Epoch advance, bucket loading, far-tier migration and the
   // all-dead wholesale drop live out of line in PopNextLiveSlow, so the hot
   // path's register allocation never pays for them.
-  bool PopNextLive(Cycles deadline, QueueEntry* out) {
+  bool PopNextLive(Cycles bound_when, std::uint64_t bound_seq, QueueEntry* out) {
     // Serve the active batch: dead entries (generation mismatch = cancelled)
-    // drop out as they surface, even beyond the deadline.
+    // drop out as they surface, even beyond the bound.
     while (batch_pos_ < batch_.size()) {
       const QueueEntry& entry = batch_[batch_pos_];
       if (pool_->generation(entry.slot) != entry.generation) {
         ++batch_pos_;
         continue;
       }
-      if (entry.when > deadline) {
+      if (entry.when > bound_when || (entry.when == bound_when && entry.seq > bound_seq)) {
         return false;
       }
       *out = entry;
       ++batch_pos_;
       return true;
     }
-    return PopNextLiveSlow(deadline, out);
+    return PopNextLiveSlow(bound_when, bound_seq, out);
   }
 
   // The batch ran dry: advance to the next occupied epoch (or drop a fully
   // dead calendar wholesale), load its bucket, and serve from it. Defined in
   // engine.cc — see PopNextLive.
-  bool PopNextLiveSlow(Cycles deadline, QueueEntry* out);
+  bool PopNextLiveSlow(Cycles bound_when, std::uint64_t bound_seq, QueueEntry* out);
 
   // Pull every overflow entry whose epoch has entered the ring window into
   // its bucket. Dead entries are dropped here instead of migrating.
@@ -414,6 +521,10 @@ class Engine {
   std::vector<QueueEntry> batch_;
   std::size_t batch_pos_ = 0;
   bool batch_active_ = false;
+
+  // --- Deadline lanes (see ArmLane) ------------------------------------------
+  std::vector<Lane> lanes_;
+  LaneId next_lane_ = kNoLane;  // earliest armed lane by (when, seq)
 };
 
 }  // namespace wdmlat::sim

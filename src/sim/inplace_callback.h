@@ -5,8 +5,8 @@
 // for any capture larger than the (implementation-defined, typically 16-byte)
 // small-object buffer plus virtual dispatch through a copyable wrapper we
 // never copy. InplaceCallback stores up to kInlineSize bytes of capture
-// in-line (enough for every dispatcher lambda — see the static_asserts at the
-// call sites in src/kernel/dispatcher.cc) and falls back to the heap only for
+// in-line (enough for the kernel's and device models' event lambdas — see
+// tests/inplace_callback_test.cc) and falls back to the heap only for
 // oversized captures, so steady-state scheduling performs zero allocations.
 
 #ifndef SRC_SIM_INPLACE_CALLBACK_H_
@@ -21,8 +21,8 @@ namespace wdmlat::sim {
 
 class InplaceCallback {
  public:
-  // Sized for the engine's clients: dispatcher completions capture
-  // {this, frame*}, device models a handful of pointers/integers, and a
+  // Sized for the engine's clients: kernel events capture {this, object*},
+  // device models a handful of pointers/integers, and a
   // whole std::function (32 bytes on libstdc++) still fits, so forwarding
   // an existing std::function stays inline too.
   static constexpr std::size_t kInlineSize = 48;

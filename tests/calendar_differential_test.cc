@@ -12,6 +12,12 @@
 // delays, exact horizon-boundary delays, and multi-horizon far-tier delays
 // that must migrate near at bucket-epoch rollover.
 //
+// Deadline lanes ride the same op stream: the reference models a lane as one
+// event id that arming cancels and reschedules and disarming cancels, so a
+// lane must fire exactly where that event would have. Lane ops cover arming
+// at now() beside same-tick scheduled events, re-arming at the same tick,
+// disarming, and three lanes ("cores") armed against each other.
+//
 // On divergence the failing op sequence is shrunk (ddmin-style chunk
 // removal) before reporting, so a regression presents as a few ops, not a
 // million.
@@ -19,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,12 +38,18 @@ namespace wdmlat::sim {
 namespace {
 
 struct Op {
-  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil };
+  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil, kArmLane, kDisarmLane };
   Kind kind;
-  bool tie;             // kSchedule: reuse the previous op's absolute time
-  std::uint64_t delay;  // kSchedule / kRunUntil: cycles from now()
+  bool tie;             // kSchedule / kArmLane: reuse the previous op's absolute time
+  std::uint64_t delay;  // kSchedule / kArmLane / kRunUntil: cycles from now()
   std::uint32_t victim;  // kCancel: reduced modulo the ids issued so far
+  std::uint32_t lane = 0;  // kArmLane / kDisarmLane
 };
+
+// Lanes under test, one per simulated core. Their fires log negative ids
+// so they can never be confused with scheduled events.
+constexpr std::size_t kLanes = 3;
+int LaneEventId(std::size_t lane) { return -1 - static_cast<int>(lane); }
 
 // The reference calendar: minimum-scan over a flat vector. No buckets, no
 // epochs, no lazy purge — cancel erases immediately.
@@ -88,6 +101,15 @@ class ReferenceCalendar {
 
   std::size_t pending() const { return live_.size(); }
 
+  std::optional<Cycles> WhenOf(int id) const {
+    for (const Event& event : live_) {
+      if (event.id == id) {
+        return event.when;
+      }
+    }
+    return std::nullopt;
+  }
+
  private:
   struct Event {
     Cycles when;
@@ -125,6 +147,11 @@ std::string DescribeOp(const Op& op) {
       return "step{}";
     case Op::kRunUntil:
       return "run_until{now+" + std::to_string(op.delay) + "}";
+    case Op::kArmLane:
+      return "arm_lane{" + std::to_string(op.lane) +
+             (op.tie ? ", tie with previous when}" : ", delay=" + std::to_string(op.delay) + "}");
+    case Op::kDisarmLane:
+      return "disarm_lane{" + std::to_string(op.lane) + "}";
   }
   return "?";
 }
@@ -139,6 +166,22 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
   std::vector<int> reference_log;
   std::size_t verified = 0;  // logs agree on [0, verified)
   Cycles last_when = 0;
+
+  struct LaneProbe {
+    std::vector<int>* log;
+    int id;
+  };
+  std::array<LaneProbe, kLanes> probes;
+  std::array<Engine::LaneId, kLanes> lanes;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    probes[i] = LaneProbe{&engine_log, LaneEventId(i)};
+    lanes[i] = engine.OpenLane(
+        [](void* context) {
+          const auto* probe = static_cast<const LaneProbe*>(context);
+          probe->log->push_back(probe->id);
+        },
+        &probes[i]);
+  }
 
   const auto diverged = [&](std::size_t op_index, const std::string& what) {
     return "op " + std::to_string(op_index) + " (" + DescribeOp(ops[op_index]) + "): " + what;
@@ -199,6 +242,27 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
         const Cycles deadline = engine.now() + static_cast<Cycles>(op.delay);
         engine.RunUntil(deadline);
         reference.RunUntil(deadline, &reference_log);
+        break;
+      }
+      case Op::kArmLane: {
+        const Cycles when = op.tie ? std::max(last_when, engine.now())
+                                   : engine.now() + static_cast<Cycles>(op.delay);
+        last_when = when;
+        engine.ArmLane(lanes[op.lane], when - engine.now());
+        reference.Cancel(LaneEventId(op.lane));
+        reference.Schedule(when, LaneEventId(op.lane));
+        break;
+      }
+      case Op::kDisarmLane: {
+        // Disarming returns the cycles still ahead (0 when not armed).
+        const std::optional<Cycles> when = reference.WhenOf(LaneEventId(op.lane));
+        const Cycles expected = when ? *when - reference.now : 0;
+        const Cycles left = engine.DisarmLane(lanes[op.lane]);
+        if (left != expected) {
+          return diverged(i, "disarm left " + std::to_string(left) + " cycles, reference " +
+                                 std::to_string(expected));
+        }
+        reference.Cancel(LaneEventId(op.lane));
         break;
       }
     }
@@ -272,8 +336,12 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     Op op{};
     const std::uint64_t kind = rng.UniformInt(0, 99);
-    if (kind < 45) {
-      op.kind = Op::kSchedule;
+    if (kind < 48) {
+      // Lanes arm with the same delay shapes as schedules.
+      op.kind = kind < 40 ? Op::kSchedule : Op::kArmLane;
+      if (op.kind == Op::kArmLane) {
+        op.lane = static_cast<std::uint32_t>(rng.UniformInt(0, kLanes - 1));
+      }
       const std::uint64_t shape = rng.UniformInt(0, 9);
       if (shape == 0) {
         op.delay = 0;  // fires this instant: same-tick FIFO tie with now()
@@ -293,8 +361,11 @@ std::vector<Op> GenerateOps(std::uint64_t seed, std::size_t count) {
     } else if (kind < 60) {
       op.kind = Op::kCancel;
       op.victim = static_cast<std::uint32_t>(rng.NextU64());
-    } else if (kind < 90) {
+    } else if (kind < 84) {
       op.kind = Op::kStep;
+    } else if (kind < 89) {
+      op.kind = Op::kDisarmLane;
+      op.lane = static_cast<std::uint32_t>(rng.UniformInt(0, kLanes - 1));
     } else {
       op.kind = Op::kRunUntil;
       // Advances from sub-bucket nudges to multi-epoch rollovers.
@@ -349,6 +420,37 @@ TEST(CalendarDifferentialTest, DirectedSlotReuseAndMigrationEdges) {
   }
   ops.push_back(Op{Op::kRunUntil, false, Engine::kHorizonCycles, 0});
   ops.push_back(Op{Op::kRunUntil, false, 2 * Engine::kHorizonCycles, 0});
+  const std::optional<std::string> failure = RunOps(ops);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// Directed lane seams: a lane armed at now() beside same-tick schedules
+// fires in its reserved seq slot; a same-tick re-arm moves it behind what
+// was scheduled in between; a disarmed lane never fires; three lanes armed
+// at one instant interleave with the calendar in arm order; and a lane far
+// past the horizon of an empty calendar pulls the drain cursor along.
+TEST(CalendarDifferentialTest, DirectedLaneEdges) {
+  std::vector<Op> ops;
+  ops.push_back(Op{Op::kSchedule, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, 0, 0, 0});
+  ops.push_back(Op{Op::kSchedule, true, 0, 0});
+  ops.push_back(Op{Op::kArmLane, true, 0, 0, 0});
+  for (int i = 0; i < 3; ++i) {
+    ops.push_back(Op{Op::kStep, false, 0, 0});
+  }
+  ops.push_back(Op{Op::kArmLane, false, 500, 0, 1});
+  ops.push_back(Op{Op::kDisarmLane, false, 0, 0, 1});
+  ops.push_back(Op{Op::kRunUntil, false, 1000, 0});
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    ops.push_back(Op{Op::kSchedule, false, 100, 0});
+    ops.push_back(Op{Op::kArmLane, true, 0, 0, lane});
+  }
+  ops.push_back(Op{Op::kRunUntil, false, 200, 0});
+  ops.push_back(Op{Op::kArmLane, false, 3 * Engine::kHorizonCycles, 0, 2});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kSchedule, false, 10, 0});
+  ops.push_back(Op{Op::kArmLane, false, 5, 0, 0});
+  ops.push_back(Op{Op::kRunUntil, false, 20, 0});
   const std::optional<std::string> failure = RunOps(ops);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -34,10 +35,12 @@ TEST_P(DispatcherFuzzTest, RandomOperationStormKeepsInvariants) {
   std::vector<KTimer> timers(4);
 
   // Worker threads that wait on random events and compute random bursts.
+  // The test owns the loops; each closure holds a plain pointer to its own.
   std::uint64_t wakeups = 0;
+  std::vector<std::function<void()>> loops(6);
   for (int t = 0; t < 6; ++t) {
     const int event_index = t % kEvents;
-    auto loop = std::make_shared<std::function<void()>>();
+    std::function<void()>* loop = &loops[t];
     *loop = [&, event_index, loop] {
       sys.kernel().Wait(&events[event_index], [&, loop] {
         ++wakeups;

@@ -1,9 +1,10 @@
 // Proves the engine hot path is allocation-free in steady state: after a
 // warmup that grows the pool slabs, every ring bucket, the drain batch, and
 // the overflow heap to their high-water marks, ScheduleAfter + Step with
-// dispatcher-sized captures must perform zero heap allocations — including
+// two-pointer captures must perform zero heap allocations — including
 // the batched same-tick drain loop and bucket-ring rollover (epoch advance
-// with far-tier migration). Asserted with a counting global operator new —
+// with far-tier migration) — and arming, disarming and firing deadline
+// lanes. Asserted with a counting global operator new —
 // which is why this test lives in its own binary (each tests/*.cc builds to
 // a separate executable; see tests/CMakeLists.txt).
 
@@ -98,7 +99,7 @@ TEST(EngineAllocTest, SteadyStateScheduleFireIsAllocationFree) {
   WarmEngine(engine, 8, 8192);
   AllocationScope scope;
   for (int i = 0; i < 100000; ++i) {
-    // The dispatcher's hottest shape: a two-pointer capture.
+    // The hottest capture shape: two pointers.
     engine.ScheduleAfter(10, [&engine, &frame] {
       (void)engine.now();
       ++frame.ticks;
@@ -108,6 +109,35 @@ TEST(EngineAllocTest, SteadyStateScheduleFireIsAllocationFree) {
   const std::uint64_t allocations = scope.Finish();
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(frame.ticks, 100000u);
+}
+
+// The dispatcher's completion path: four lanes (cores) re-armed, disarmed
+// and fired among calendar traffic never touch the allocator — lanes are
+// opened once, and arming stores a deadline, not a callback.
+TEST(EngineAllocTest, LaneArmDisarmFireIsAllocationFree) {
+  Engine engine;
+  std::uint64_t fired = 0;
+  Engine::LaneId lanes[4];
+  for (Engine::LaneId& lane : lanes) {
+    lane = engine.OpenLane([](void* count) { ++*static_cast<std::uint64_t*>(count); }, &fired);
+  }
+  WarmEngine(engine, 8, 4096);
+  AllocationScope scope;
+  for (int i = 0; i < 100000; ++i) {
+    Engine::LaneId lane = lanes[i % 4];
+    if (i % 5 == 0) {
+      engine.DisarmLane(lane);
+    } else {
+      engine.ArmLane(lane, 10 + static_cast<Cycles>(i % 7));
+    }
+    if (i % 2 == 0) {
+      engine.ScheduleAfter(12, [] {});
+      engine.RunUntil(engine.now() + 20);
+    }
+  }
+  const std::uint64_t allocations = scope.Finish();
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(fired, 0u);
 }
 
 TEST(EngineAllocTest, SteadyStateCancelChurnIsAllocationFree) {

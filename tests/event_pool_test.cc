@@ -181,7 +181,7 @@ TEST(EventPoolTest, HandleCopiesShareTheSameEvent) {
 }
 
 TEST(EventPoolTest, CancelHeavyChurnNeverLeaksPendingCount) {
-  // Mirror the dispatcher's pause/resume pattern: every virtual instant
+  // Mirror a timer re-programmed before it fires: every virtual instant
   // schedules a completion and cancels the previous one.
   Engine engine;
   EventHandle completion;

@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/lab/fleet.h"
+#include "tests/temp_dir.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -40,12 +40,7 @@ FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using test::TempDirFor;
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);

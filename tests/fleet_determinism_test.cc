@@ -12,6 +12,7 @@
 
 #include "src/lab/fleet.h"
 #include "src/lab/report_io.h"
+#include "tests/temp_dir.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -45,12 +46,7 @@ FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using test::TempDirFor;
 
 // Run the whole population split `shards` ways at `jobs` threads per shard
 // and return the serialized merged report.

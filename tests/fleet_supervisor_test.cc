@@ -19,6 +19,7 @@
 #include "src/lab/fleet.h"
 #include "src/lab/host_chaos.h"
 #include "src/runtime/fleet_supervisor.h"
+#include "tests/temp_dir.h"
 
 namespace wdmlat::runtime {
 namespace {
@@ -45,12 +46,7 @@ lab::FleetSpec SmallPopulation() {
   return spec;
 }
 
-std::string TempDirFor(const char* name) {
-  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using test::TempDirFor;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -185,7 +181,7 @@ TEST(FleetSupervisor, ChaosSelfHealsToIdenticalBytesForThreeSeeds) {
 
   for (const std::uint64_t seed : {7ull, 19ull, 23ull}) {
     const std::string dir =
-        TempDirFor(("supervisor_chaos_" + std::to_string(seed)).c_str());
+        TempDirFor("supervisor_chaos_" + std::to_string(seed));
     FleetSupervisorOptions options = BaseOptions(fleet, dir, shards);
     options.max_attempts = 4;  // chaos draws clean plans past attempt 2
     const lab::HostChaos chaos(seed);

@@ -28,7 +28,7 @@ TEST(InplaceCallbackTest, InvokesInlineLambda) {
 }
 
 TEST(InplaceCallbackTest, DispatcherSizedCapturesStayInline) {
-  // The dispatcher's hottest lambdas capture {this, frame*}; a std::function
+  // The kernel's hottest lambdas capture {this, object*}; a std::function
   // forwarded from legacy call sites is 32 bytes on libstdc++. Both must be
   // inline-eligible or the engine hot path regresses to allocating.
   struct Dummy {};

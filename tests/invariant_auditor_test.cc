@@ -80,6 +80,25 @@ TEST(InvariantAuditorTest, DispatcherDisciplineCleanAtIdle) {
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
+// The core's completion lane must be armed exactly when one activity is
+// marked running. Flipping the lane behind the dispatcher's back (the boot
+// core opened the engine's first lane) must be reported.
+TEST(InvariantAuditorTest, DispatcherLaneOutOfStepWithRunningActivityIsReported) {
+  lab::TestSystem system(kernel::MakeWin98Profile(), 7);
+  system.RunFor(0.5);
+  sim::Engine& engine = system.engine();
+  const sim::Engine::LaneId boot_lane = 0;
+  if (engine.lane_armed(boot_lane)) {
+    engine.DisarmLane(boot_lane);
+  } else {
+    engine.ArmLane(boot_lane, 1);
+  }
+  std::vector<std::string> violations;
+  system.kernel().dispatcher().AuditDiscipline(&violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("completion lane"), std::string::npos) << violations[0];
+}
+
 TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
   sim::Engine engine;
   std::vector<sim::EventHandle> ids;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -241,10 +242,12 @@ FuzzOutcome RunSmpStorm(std::uint64_t seed, bool migrating) {
   }
   std::vector<kernel::KTimer> timers(4);
 
+  // The storm owns the loops; each closure holds a plain pointer to its own.
   std::vector<kernel::KThread*> threads;
+  std::vector<std::function<void()>> loops(8);
   for (int t = 0; t < 8; ++t) {
     const int event_index = t % kEvents;
-    auto loop = std::make_shared<std::function<void()>>();
+    std::function<void()>* loop = &loops[t];
     *loop = [&, event_index, loop] {
       k.Wait(&events[event_index], [&, loop] {
         ++out.wakeups;
