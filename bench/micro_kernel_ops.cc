@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "src/drivers/latency_driver.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/profile.h"
+#include "src/kernel/ready_queue.h"
 #include "src/kernel/smp.h"
 #include "src/lab/test_system.h"
 #include "src/sim/engine.h"
@@ -89,6 +91,31 @@ void BM_DispatcherLaneRearm(benchmark::State& state) {
   benchmark::DoNotOptimize(k.dispatcher().sections_run());
 }
 BENCHMARK(BM_DispatcherLaneRearm);
+
+// The dispatcher's thread decision on a ready queue holding N threads
+// spread over priorities 1..31 (N = 1: one normal-priority thread): pop the
+// highest, read the next top priority, push the popped thread back. The
+// queue answers both queries from its ready summary, not a priority scan.
+void BM_ReadyQueueDecision(benchmark::State& state) {
+  const int ready = static_cast<int>(state.range(0));
+  std::vector<std::unique_ptr<kernel::KThread>> threads;
+  kernel::ReadyQueue queue;
+  for (int i = 0; i < ready; ++i) {
+    const int priority =
+        ready == 1 ? 8
+                   : kernel::kMinPriority +
+                         i * (kernel::kMaxPriority - kernel::kMinPriority) / (ready - 1);
+    threads.push_back(std::make_unique<kernel::KThread>("bm", priority));
+    queue.Push(threads.back().get());
+  }
+  for (auto _ : state) {
+    kernel::KThread* thread = queue.Pop();
+    benchmark::DoNotOptimize(queue.top_priority());
+    queue.Push(thread);
+  }
+  benchmark::DoNotOptimize(queue.Peek());
+}
+BENCHMARK(BM_ReadyQueueDecision)->Arg(1)->Arg(8);
 
 // The ladder queue's headline case: a burst of same-instant expirations (a
 // PIT tick's worth of due timers) collapses into one sorted drain batch and

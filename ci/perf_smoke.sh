@@ -39,13 +39,13 @@ fi
 OUT="$(mktemp -d "${TMPDIR:-/tmp}/wdmlat_perf_smoke.XXXXXX")"
 trap 'rm -rf "${OUT}"' EXIT
 
-# Engine/histogram micro loops, the dispatcher's lane round trip, and the
-# SMP round-trip pair (those advance at most 100 virtual µs per iteration,
-# so they fit the budget); the remaining
+# Engine/histogram micro loops, the dispatcher's lane round trip, the
+# ready-queue decision, and the SMP round-trip pair (those advance at most
+# 100 virtual µs per iteration, so they fit the budget); the remaining
 # full-system benchmarks simulate a virtual second per iteration and would
 # dominate the smoke budget. Note the numeric --benchmark_min_time form (the
 # bundled benchmark library predates the "0.2s" suffix syntax).
-"${BENCH}" --benchmark_filter='BM_Engine|BM_DispatcherLaneRearm|BM_Histogram|BM_SmpDispatch|BM_SpinlockHandoff' \
+"${BENCH}" --benchmark_filter='BM_Engine|BM_DispatcherLaneRearm|BM_ReadyQueueDecision|BM_Histogram|BM_SmpDispatch|BM_SpinlockHandoff' \
   --benchmark_min_time=0.2 \
   --benchmark_format=json > "${OUT}/raw.json"
 

@@ -1,5 +1,6 @@
 #include "src/hw/interrupt_controller.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -23,6 +24,7 @@ void InterruptController::Assert(int line) {
     return;
   }
   l.pending = true;
+  ++pending_count_;
   l.assert_time = engine_.now();
   l.target_core = irq_router_ ? irq_router_(line) : 0;
   if (pending_notifier_) {
@@ -30,25 +32,11 @@ void InterruptController::Assert(int line) {
   }
 }
 
-int InterruptController::HighestPending(kernel::Irql ceiling) const {
+int InterruptController::ScanPending(kernel::Irql ceiling, int core) const {
   int best = kNoLine;
   for (int i = 0; i < line_count(); ++i) {
     const Line& l = lines_[i];
-    if (!l.pending || l.irql <= ceiling) {
-      continue;
-    }
-    if (best == kNoLine || l.irql > lines_[best].irql) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-int InterruptController::HighestPendingFor(kernel::Irql ceiling, int core) const {
-  int best = kNoLine;
-  for (int i = 0; i < line_count(); ++i) {
-    const Line& l = lines_[i];
-    if (!l.pending || l.target_core != core || l.irql <= ceiling) {
+    if (!l.pending || (core != kAnyCore && l.target_core != core) || l.irql <= ceiling) {
       continue;
     }
     if (best == kNoLine || l.irql > lines_[best].irql) {
@@ -63,7 +51,17 @@ sim::Cycles InterruptController::Acknowledge(int line) {
   Line& l = lines_[line];
   assert(l.pending);
   l.pending = false;
+  --pending_count_;
   return l.assert_time;
+}
+
+void InterruptController::Audit(std::vector<std::string>* violations) const {
+  const auto latched = std::count_if(lines_.begin(), lines_.end(),
+                                     [](const Line& l) { return l.pending; });
+  if (latched != pending_count_) {
+    violations->push_back("pic: pending count " + std::to_string(pending_count_) + " but " +
+                          std::to_string(latched) + " line(s) are latched");
+  }
 }
 
 }  // namespace wdmlat::hw

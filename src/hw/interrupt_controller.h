@@ -7,6 +7,10 @@
 // assertion to the first ISR instruction is the paper's "interrupt latency";
 // it emerges from IRQL masking, interrupt-disabled sections and dispatch
 // overhead in the kernel model, not from anything scripted here.
+//
+// The CPU model asks for the highest pending line on every reevaluation, and
+// nearly always nothing is latched; a count of latched lines, kept by Assert
+// and Acknowledge, answers that case without scanning the lines.
 
 #ifndef SRC_HW_INTERRUPT_CONTROLLER_H_
 #define SRC_HW_INTERRUPT_CONTROLLER_H_
@@ -43,14 +47,18 @@ class InterruptController {
   void Assert(int line);
 
   // CPU side: index of the highest-IRQL pending line whose IRQL is strictly
-  // above `ceiling`, or kNoLine.
-  int HighestPending(kernel::Irql ceiling) const;
+  // above `ceiling`, or kNoLine. Among equal IRQLs the lowest index wins.
+  int HighestPending(kernel::Irql ceiling) const {
+    return pending_count_ == 0 ? kNoLine : ScanPending(ceiling, kAnyCore);
+  }
 
   // SMP variant: like HighestPending, but only considers lines routed to
   // `core`. Routing is decided at Assert time (see set_irq_router); lines
   // that were never routed belong to core 0, so a uniprocessor kernel using
   // HighestPending never sees a difference.
-  int HighestPendingFor(kernel::Irql ceiling, int core) const;
+  int HighestPendingFor(kernel::Irql ceiling, int core) const {
+    return pending_count_ == 0 ? kNoLine : ScanPending(ceiling, core);
+  }
 
   // SMP routing hook: called once per latched Assert with the line index;
   // returns the core the pending interrupt is delivered to. Unset => core 0.
@@ -70,7 +78,19 @@ class InterruptController {
   std::uint64_t dropped_edges() const { return dropped_edges_; }
   std::uint64_t asserts(int line) const { return lines_[line].asserts; }
 
+  // Invariant audit: the pending count equals the number of latched lines.
+  // Appends one line per violation.
+  void Audit(std::vector<std::string>* violations) const;
+
  private:
+  friend class InterruptControllerTestPeer;  // corruption tests for Audit
+
+  static constexpr int kAnyCore = -1;
+
+  // The line scan behind HighestPending{,For}; `core` == kAnyCore ignores
+  // routing.
+  int ScanPending(kernel::Irql ceiling, int core) const;
+
   struct Line {
     std::string name;
     kernel::Irql irql = kernel::Irql::kDevice;
@@ -85,6 +105,7 @@ class InterruptController {
   std::function<void()> pending_notifier_;
   std::function<int(int)> irq_router_;
   std::uint64_t dropped_edges_ = 0;
+  int pending_count_ = 0;
 };
 
 }  // namespace wdmlat::hw

@@ -157,6 +157,7 @@ void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
                           (engine_.lane_armed(lane_) ? "armed" : "disarmed") + " while " +
                           std::to_string(running) + " activities are marked running");
   }
+  ready_.Audit(violations);
 }
 
 bool Dispatcher::InjectSection(Irql irql, sim::Cycles length, Label label) {

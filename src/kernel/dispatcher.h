@@ -118,9 +118,10 @@ class Dispatcher {
   // Gate). Validates: no gate is open, interrupt-stack IRQLs strictly
   // increase bottom-to-top and stay above DISPATCH, exactly the innermost
   // activity (top frame, else DPC, else thread) is marked running, paused
-  // activities below it are not, and the core's completion lane is armed
-  // exactly when one activity is marked running. Appends one line per
-  // violation.
+  // activities below it are not, the core's completion lane is armed
+  // exactly when one activity is marked running, and the core's ready
+  // summary matches its ready queues (ReadyQueue::Audit). Appends one line
+  // per violation.
   void AuditDiscipline(std::vector<std::string>* violations) const;
 
   // --- Legacy / stress injection ---------------------------------------------

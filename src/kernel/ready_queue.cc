@@ -14,35 +14,30 @@ void ReadyQueue::Push(KThread* thread, bool front) {
   } else {
     queues_[prio].push_back(thread);
   }
+  summary_ |= std::uint32_t{1} << prio;
   ++count_;
 }
 
-KThread* ReadyQueue::Peek() const {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      return queues_[prio].front();
-    }
-  }
-  return nullptr;
-}
-
 KThread* ReadyQueue::Pop() {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      KThread* thread = queues_[prio].front();
-      queues_[prio].pop_front();
-      --count_;
-      return thread;
-    }
+  if (summary_ == 0) {
+    return nullptr;
   }
-  return nullptr;
+  const int prio = top_priority();
+  KThread* thread = queues_[prio].front();
+  queues_[prio].pop_front();
+  ClearIfEmpty(prio);
+  --count_;
+  return thread;
 }
 
 bool ReadyQueue::Remove(KThread* thread) {
-  for (auto& queue : queues_) {
+  for (std::uint32_t bits = summary_; bits != 0; bits &= bits - 1) {
+    const int prio = __builtin_ctz(bits);
+    std::deque<KThread*>& queue = queues_[prio];
     auto it = std::find(queue.begin(), queue.end(), thread);
     if (it != queue.end()) {
       queue.erase(it);
+      ClearIfEmpty(prio);
       --count_;
       return true;
     }
@@ -50,13 +45,22 @@ bool ReadyQueue::Remove(KThread* thread) {
   return false;
 }
 
-int ReadyQueue::top_priority() const {
-  for (int prio = kMaxPriority; prio >= kMinPriority; --prio) {
-    if (!queues_[prio].empty()) {
-      return prio;
+void ReadyQueue::Audit(std::vector<std::string>* violations) const {
+  std::size_t queued = 0;
+  for (int prio = 0; prio <= kMaxPriority; ++prio) {
+    queued += queues_[prio].size();
+    const bool bit = (summary_ >> prio) & 1u;
+    if (bit == queues_[prio].empty()) {
+      violations->push_back("ready summary bit " + std::to_string(prio) +
+                            (bit ? " set but the queue is empty"
+                                 : " clear but the queue holds " +
+                                       std::to_string(queues_[prio].size()) + " thread(s)"));
     }
   }
-  return -1;
+  if (queued != count_) {
+    violations->push_back("ready queues hold " + std::to_string(queued) +
+                          " threads but size() says " + std::to_string(count_));
+  }
 }
 
 }  // namespace wdmlat::kernel

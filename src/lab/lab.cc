@@ -22,13 +22,16 @@ namespace {
 // slicing the span is bit-identical to running it in one call.
 void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double seconds) {
   sim::InvariantAuditor auditor(system.engine());
-  // One IRQL-discipline check per core (exactly one on UP), plus the SMP
-  // cross-core invariants (spinlocks, runqueues, IPI conservation).
+  // One IRQL-discipline check per core (exactly one on UP), the shared
+  // interrupt controller's pending count, plus the SMP cross-core invariants
+  // (spinlocks, runqueues, IPI conservation).
   for (int core = 0; core < system.kernel().core_count(); ++core) {
     kernel::Dispatcher* dispatcher = &system.kernel().dispatcher(core);
     auditor.AddCheck(core == 0 ? "dispatcher" : "dispatcher.core" + std::to_string(core),
                      [dispatcher](std::vector<std::string>* v) { dispatcher->AuditDiscipline(v); });
   }
+  hw::InterruptController* pic = &system.kernel().pic();
+  auditor.AddCheck("pic", [pic](std::vector<std::string>* v) { pic->Audit(v); });
   if (kernel::Smp* smp = system.kernel().smp()) {
     auditor.AddCheck("smp", [smp](std::vector<std::string>* v) { smp->Audit(v); });
   }

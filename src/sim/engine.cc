@@ -51,6 +51,7 @@ void Engine::Reset() {
   compactions_ = 0;
   stop_requested_ = false;
   cur_epoch_ = 0;
+  floor_ = kNoDeadline;
   for (Lane& lane : lanes_) {
     lane.armed = false;
   }
@@ -79,13 +80,20 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
     return pool_->generation(entry.slot) != entry.generation;
   };
   // Shared per-entry checks: live entries must not sit in the past and must
-  // carry an issued sequence number.
+  // carry an issued sequence number; ring and overflow (`floored`) entries
+  // must not lie below the calendar floor.
   std::size_t live_entries = 0;
-  const auto check_entry = [&](const QueueEntry& entry, const char* tier) {
+  const auto check_entry = [&](const QueueEntry& entry, const char* tier, bool floored) {
     if (is_dead(entry)) {
       return;  // stale entry for a cancelled event: legal until purged
     }
     ++live_entries;
+    if (floored && entry.when < floor_) {
+      violations->push_back("engine: live " + std::string(tier) + " event in slot " +
+                            std::to_string(entry.slot) + " scheduled at " +
+                            std::to_string(entry.when) + " below the calendar floor " +
+                            std::to_string(floor_));
+    }
     if (entry.when < now_) {
       violations->push_back("engine: live " + std::string(tier) + " event in slot " +
                             std::to_string(entry.slot) + " scheduled at " +
@@ -130,7 +138,7 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
                               " < cur_epoch " + std::to_string(cur_epoch_) + ") in bucket " +
                               std::to_string(index) + " instead of the current bucket");
       }
-      check_entry(entry, "ring");
+      check_entry(entry, "ring", true);
     }
   }
   if (ring_entries != near_count_) {
@@ -158,7 +166,7 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
                             " is inside the ring window starting at epoch " +
                             std::to_string(cur_epoch_) + " and should have migrated");
     }
-    check_entry(entry, "overflow");
+    check_entry(entry, "overflow", true);
   }
 
   // --- Drain batch: inactive means empty; the unserved tail is sorted in
@@ -191,7 +199,7 @@ void Engine::AuditCalendar(std::vector<std::string>* violations) const {
                             std::to_string(batch_[i - 1].when) +
                             " seq=" + std::to_string(batch_[i - 1].seq) + ")");
     }
-    check_entry(entry, "batch");
+    check_entry(entry, "batch", false);
   }
 
   // Every live pool slot owns exactly one calendar entry across the three
@@ -306,9 +314,14 @@ bool Engine::PopNextLiveSlow(Cycles bound_when, std::uint64_t bound_seq, QueueEn
     } else if (!far_.empty()) {
       target = EpochOf(far_.front().when);
     } else {
+      floor_ = kNoDeadline;
       return false;
     }
     if (target > cur_epoch_ && target > EpochOf(bound_when)) {
+      // Nothing stored lies below the next occupied epoch (ring entries sit
+      // in their epoch's bucket, overflow entries beyond every ring epoch),
+      // or below the overflow minimum when the ring is empty.
+      floor_ = near_count_ > 0 ? target << kBucketBits : far_.front().when;
       // The next event lies beyond the bound. Slide the window up to the
       // bound's epoch (now() will advance there: to the deadline, or to the
       // lane that fires instead), keeping the far-tier migration invariant
@@ -341,12 +354,16 @@ bool Engine::PopNextLiveSlow(Cycles bound_when, std::uint64_t bound_seq, QueueEn
       bucket.clear();
       std::sort(batch_.begin(), batch_.end(), FiresEarlier{});
     }
+    // The current bucket is empty now, so every ring entry lies in a later
+    // epoch and every overflow entry beyond the window.
+    floor_ = (cur_epoch_ + 1) << kBucketBits;
     batch_pos_ = 0;
     batch_active_ = true;
   }
 }
 
 bool Engine::DropAllDead() {
+  floor_ = kNoDeadline;
   batch_.clear();
   batch_pos_ = 0;
   batch_active_ = false;

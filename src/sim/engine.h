@@ -24,7 +24,9 @@
 // (each dispatcher core keeps its single active completion in one), fired
 // by the serve loop when it is earlier than the calendar head. Arming
 // reserves a sequence number, so a lane fires in exactly the (when, seq)
-// slot an equivalent ScheduleAfter would have taken.
+// slot an equivalent ScheduleAfter would have taken. A calendar floor — a
+// lower bound on every ring and overflow entry — lets a due lane that lies
+// strictly below it fire without the calendar scan.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -248,11 +250,14 @@ class Engine {
   // conservation across tiers), that sequence numbers were issued before
   // next_seq_, and the pool's slab/free-list/generation consistency. Armed
   // lanes must not lie in the past or carry an unissued sequence number, and
-  // the cached earliest lane must be the earliest armed one.
+  // the cached earliest lane must be the earliest armed one. The calendar
+  // floor must not exceed any live ring or overflow entry.
   // Appends one line per violation; appends nothing when healthy.
   void AuditCalendar(std::vector<std::string>* violations) const;
 
  private:
+  friend class EngineTestPeer;  // corruption tests for AuditCalendar
+
   // POD calendar entry: no refcounts, no indirection on sift. `generation`
   // pins the entry to one pool-slot incarnation; a mismatch means the event
   // was cancelled (or fired through an earlier entry) and the entry is dead.
@@ -320,6 +325,7 @@ class Engine {
       }
       return;
     }
+    floor_ = std::min(floor_, entry.when);
     if (epoch < cur_epoch_ + kBucketCount) {
       const std::uint32_t index =
           static_cast<std::uint32_t>((epoch <= cur_epoch_ ? cur_epoch_ : epoch)) & kRingMask;
@@ -342,6 +348,17 @@ class Engine {
   // Fire the next event — the calendar head or the earliest armed lane,
   // whichever is first in (when, seq) — if its time is <= `deadline`.
   // Returns false when nothing is due. Shared by Step and the Run loops.
+  //
+  // A due lane strictly below the calendar floor, with the drain batch
+  // exhausted, precedes every stored entry, so it fires without the
+  // calendar scan (a tie at the floor takes the full (when, seq) compare).
+  // The skip leaves cur_epoch_ where it was, possibly behind now(). That is
+  // harmless: every tier invariant and Insert's routing are stated relative
+  // to cur_epoch_, so a lagging cursor only files a new entry in the current
+  // bucket or the overflow tier where a caught-up one would have used a
+  // later ring bucket, and an entry routed to a still-active, exhausted
+  // batch is appended after everything it served. The next calendar serve
+  // advances the cursor to the next occupied epoch exactly as before.
   bool ServeNext(Cycles deadline) {
     Cycles bound_when = deadline;
     std::uint64_t bound_seq = kLastSeq;
@@ -349,6 +366,10 @@ class Engine {
     if (lane_due) {
       bound_when = lanes_[next_lane_].when;
       bound_seq = lanes_[next_lane_].seq;
+      if (bound_when < floor_ && batch_pos_ >= batch_.size()) {
+        FireLane(next_lane_);
+        return true;
+      }
     }
     QueueEntry entry;
     if (PopNextLive(bound_when, bound_seq, &entry)) {
@@ -521,6 +542,13 @@ class Engine {
   std::vector<QueueEntry> batch_;
   std::size_t batch_pos_ = 0;
   bool batch_active_ = false;
+  // Calendar floor: a lower bound on the `when` of every live ring and
+  // overflow entry (the batch is outside it). Insert lowers it; loading an
+  // epoch's batch raises it to the next epoch's start; a scan stopped at a
+  // bound raises it to the next occupied epoch's start (or the overflow
+  // minimum when the ring is empty); an empty calendar has no floor
+  // (kNoDeadline).
+  Cycles floor_ = kNoDeadline;
 
   // --- Deadline lanes (see ArmLane) ------------------------------------------
   std::vector<Lane> lanes_;

@@ -18,6 +18,12 @@
 // at now() beside same-tick scheduled events, re-arming at the same tick,
 // disarming, and three lanes ("cores") armed against each other.
 //
+// A due lane strictly below the engine's calendar floor fires without the
+// calendar scan; directed cases pin the floor's seams: a lane tied with an
+// entry at the floor, an entry scheduled below a raised floor between lane
+// fires, a calendar holding only overflow entries, Reset, and lanes on
+// several cores interleaving below the floor.
+//
 // On divergence the failing op sequence is shrunk (ddmin-style chunk
 // removal) before reporting, so a regression presents as a few ops, not a
 // million.
@@ -38,7 +44,8 @@ namespace wdmlat::sim {
 namespace {
 
 struct Op {
-  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil, kArmLane, kDisarmLane };
+  // kReset appears only in directed sequences, never in the random mix.
+  enum Kind : std::uint8_t { kSchedule, kCancel, kStep, kRunUntil, kArmLane, kDisarmLane, kReset };
   Kind kind;
   bool tie;             // kSchedule / kArmLane: reuse the previous op's absolute time
   std::uint64_t delay;  // kSchedule / kArmLane / kRunUntil: cycles from now()
@@ -101,6 +108,12 @@ class ReferenceCalendar {
 
   std::size_t pending() const { return live_.size(); }
 
+  void Reset() {
+    live_.clear();
+    now = 0;
+    next_seq_ = 0;
+  }
+
   std::optional<Cycles> WhenOf(int id) const {
     for (const Event& event : live_) {
       if (event.id == id) {
@@ -152,13 +165,16 @@ std::string DescribeOp(const Op& op) {
              (op.tie ? ", tie with previous when}" : ", delay=" + std::to_string(op.delay) + "}");
     case Op::kDisarmLane:
       return "disarm_lane{" + std::to_string(op.lane) + "}";
+    case Op::kReset:
+      return "reset{}";
   }
   return "?";
 }
 
 // Run one op sequence through both calendars. Returns a failure description
-// at the first divergence, or nullopt if they agree throughout.
-std::optional<std::string> RunOps(const std::vector<Op>& ops) {
+// at the first divergence, or nullopt if they agree throughout. The engine
+// is audited after op i when (i & audit_mask) == 0.
+std::optional<std::string> RunOps(const std::vector<Op>& ops, std::size_t audit_mask = 0xFFF) {
   Engine engine;
   ReferenceCalendar reference;
   std::vector<EventHandle> handles;
@@ -265,6 +281,12 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
         reference.Cancel(LaneEventId(op.lane));
         break;
       }
+      case Op::kReset: {
+        engine.Reset();
+        reference.Reset();
+        last_when = 0;
+        break;
+      }
     }
     if (auto failure = check_logs(i)) {
       return failure;
@@ -277,7 +299,7 @@ std::optional<std::string> RunOps(const std::vector<Op>& ops) {
       return diverged(i, "engine pending=" + std::to_string(engine.events_pending()) +
                              " but reference pending=" + std::to_string(reference.pending()));
     }
-    if ((i & 0xFFF) == 0) {
+    if ((i & audit_mask) == 0) {
       std::vector<std::string> violations;
       engine.AuditCalendar(&violations);
       if (!violations.empty()) {
@@ -452,6 +474,84 @@ TEST(CalendarDifferentialTest, DirectedLaneEdges) {
   ops.push_back(Op{Op::kArmLane, false, 5, 0, 0});
   ops.push_back(Op{Op::kRunUntil, false, 20, 0});
   const std::optional<std::string> failure = RunOps(ops);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// Directed calendar-floor seams. The floor bounds every ring and overflow
+// entry from below; a due lane strictly under it fires without the scan.
+// Each case audits after every op, so a floor left above a live entry fails
+// the audit even before it would reorder a fire.
+TEST(CalendarDifferentialTest, DirectedFloorEdges) {
+  constexpr Cycles kWidth = Engine::kBucketWidth;
+  std::vector<Op> ops;
+  // A lane due exactly at the floor: the entry at 3W sets the floor to 3W; a
+  // lane below it fires straight away, then a lane armed at exactly 3W ties
+  // with the entry and must fire after it (its seq is later).
+  ops.push_back(Op{Op::kSchedule, false, 3 * kWidth, 0});
+  ops.push_back(Op{Op::kArmLane, false, 10, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, 3 * kWidth - 10, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  // An entry scheduled below a raised floor between lane fires: a lane tied
+  // with the floor makes the scan stop at the next occupied epoch (raising
+  // the floor to 5 epochs ahead), a lane below that fires without the scan,
+  // and an entry then scheduled under the raised floor must lower it — the
+  // next lane lies beyond the entry and must fire after it.
+  ops.push_back(Op{Op::kSchedule, false, 5 * kWidth, 0});
+  ops.push_back(Op{Op::kArmLane, false, 10, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, kWidth, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, 100, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kSchedule, false, 50, 0});
+  ops.push_back(Op{Op::kArmLane, false, kWidth / 2, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kRunUntil, false, 8 * kWidth, 0});
+  // Only the overflow tier holds entries: a cancelled near entry pins the
+  // floor low until a scan purges it and stops at the overflow minimum; then
+  // lanes fire beneath it, and a lane tied with the overflow entry fires
+  // after it.
+  ops.push_back(Op{Op::kSchedule, false, 2 * Engine::kHorizonCycles, 0});
+  ops.push_back(Op{Op::kArmLane, true, 0, 0, 1});
+  ops.push_back(Op{Op::kSchedule, false, 100, 0});
+  ops.push_back(Op{Op::kCancel, false, 0, 4});  // the near entry just scheduled
+  ops.push_back(Op{Op::kArmLane, false, 10, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, 200, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, Engine::kHorizonCycles, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  ops.push_back(Op{Op::kStep, false, 0, 0});
+  // Lanes on three cores below the floor: arm order, not lane index, breaks
+  // the same-instant tie, and a calendar entry between them interleaves.
+  ops.push_back(Op{Op::kSchedule, false, 4 * kWidth, 0});
+  ops.push_back(Op{Op::kArmLane, false, 30, 0, 2});
+  ops.push_back(Op{Op::kArmLane, false, 20, 0, 0});
+  ops.push_back(Op{Op::kArmLane, true, 0, 0, 1});
+  ops.push_back(Op{Op::kSchedule, false, 25, 0});
+  for (int i = 0; i < 4; ++i) {
+    ops.push_back(Op{Op::kStep, false, 0, 0});
+  }
+  ops.push_back(Op{Op::kArmLane, false, 5, 0, 1});
+  ops.push_back(Op{Op::kArmLane, false, 5, 0, 2});
+  ops.push_back(Op{Op::kRunUntil, false, 10, 0});
+  // Reset clears the floor along with the calendar: the replay below must
+  // order exactly as on a new engine.
+  ops.push_back(Op{Op::kArmLane, false, 7, 0, 0});
+  ops.push_back(Op{Op::kReset, false, 0, 0});
+  ops.push_back(Op{Op::kSchedule, false, 100, 0});
+  ops.push_back(Op{Op::kArmLane, false, 200, 0, 0});
+  ops.push_back(Op{Op::kArmLane, false, 50, 0, 1});
+  ops.push_back(Op{Op::kSchedule, false, 2 * kWidth, 0});
+  for (int i = 0; i < 3; ++i) {
+    ops.push_back(Op{Op::kStep, false, 0, 0});
+  }
+  ops.push_back(Op{Op::kArmLane, false, 2 * kWidth - 200, 0, 2});
+  const std::optional<std::string> failure = RunOps(ops, /*audit_mask=*/0);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }
 

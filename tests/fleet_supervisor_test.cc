@@ -306,6 +306,11 @@ TEST(FleetSupervisor, SpeculationStitchesTheWinningSuffix) {
   const std::string dir = TempDirFor("supervisor_speculate");
   FleetSupervisorOptions options = BaseOptions(fleet, dir, shards);
   options.speculate = true;
+  // Two slots for two shards: the only idle slot appears when shard 1
+  // exits, so exactly the hung shard 0 is speculated. With a third slot,
+  // speculation starts on shard 0 at once, and shard 1 would be speculated
+  // too if it were still running when shard 0's copy won.
+  options.max_parallel = 2;
   // Shard 0's first main attempt hangs; the speculative copy (and the
   // completion run after its win) run normally, so the supervisor must
   // finish through speculation, not retry (no heartbeat timeout is set).

@@ -1,20 +1,47 @@
 // sim::InvariantAuditor and the per-layer audit hooks it aggregates: the
-// engine calendar, the event pool, and the kernel dispatcher's IRQL/lock
-// discipline — plus the tentpole passivity claim that a supervised run with
-// auditing armed is bit-identical to an unsupervised run.
+// engine calendar (including its floor), the event pool, the kernel
+// dispatcher's IRQL/lock discipline and ready summary, and the interrupt
+// controller's pending count — plus the tentpole passivity claim that a
+// supervised run with auditing armed is bit-identical to an unsupervised run.
+// The corruption tests reach the audited fields through test peers.
 
 #include "src/sim/invariant_auditor.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/hw/interrupt_controller.h"
 #include "src/kernel/profile.h"
+#include "src/kernel/ready_queue.h"
+#include "src/kernel/smp.h"
 #include "src/lab/lab.h"
 #include "src/lab/test_system.h"
 #include "src/sim/engine.h"
 #include "src/workload/stress_profile.h"
+
+namespace wdmlat::sim {
+class EngineTestPeer {
+ public:
+  static Cycles& floor(Engine& engine) { return engine.floor_; }
+};
+}  // namespace wdmlat::sim
+
+namespace wdmlat::kernel {
+class ReadyQueueTestPeer {
+ public:
+  static std::uint32_t& summary(ReadyQueue& queue) { return queue.summary_; }
+};
+}  // namespace wdmlat::kernel
+
+namespace wdmlat::hw {
+class InterruptControllerTestPeer {
+ public:
+  static int& pending_count(InterruptController& pic) { return pic.pending_count_; }
+};
+}  // namespace wdmlat::hw
 
 namespace wdmlat {
 namespace {
@@ -97,6 +124,85 @@ TEST(InvariantAuditorTest, DispatcherLaneOutOfStepWithRunningActivityIsReported)
   system.kernel().dispatcher().AuditDiscipline(&violations);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("completion lane"), std::string::npos) << violations[0];
+}
+
+// A summary bit set over an empty queue must be reported by the owning
+// core's dispatcher audit, for each core's queue on SMP.
+TEST(InvariantAuditorTest, ReadySummaryBitOverAnEmptyQueueIsReported) {
+  lab::TestSystem system(kernel::MakeNt4SmpProfile(2), 7);
+  system.RunFor(0.5);
+  kernel::Smp* smp = system.kernel().smp();
+  ASSERT_NE(smp, nullptr);
+  for (int core = 0; core < system.kernel().core_count(); ++core) {
+    std::uint32_t& summary = kernel::ReadyQueueTestPeer::summary(smp->ready_queue(core));
+    const std::uint32_t saved = summary;
+    const int prio = __builtin_ctz(~saved & ~1u);  // an empty priority above idle
+    summary = saved | (std::uint32_t{1} << prio);
+    std::vector<std::string> violations;
+    system.kernel().dispatcher(core).AuditDiscipline(&violations);
+    summary = saved;
+    ASSERT_EQ(violations.size(), 1u) << "core " << core;
+    EXPECT_NE(violations[0].find("ready summary bit " + std::to_string(prio) + " set"),
+              std::string::npos)
+        << violations[0];
+    violations.clear();
+    system.kernel().dispatcher(core).AuditDiscipline(&violations);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+  }
+}
+
+// The other direction: a queued thread under a clear summary bit.
+TEST(InvariantAuditorTest, ReadySummaryBitClearOverAQueuedThreadIsReported) {
+  kernel::KThread thread("t", 12);
+  kernel::ReadyQueue queue;
+  queue.Push(&thread);
+  kernel::ReadyQueueTestPeer::summary(queue) = 0;
+  std::vector<std::string> violations;
+  queue.Audit(&violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("ready summary bit 12 clear"), std::string::npos)
+      << violations[0];
+}
+
+// The interrupt controller's pending count must equal its latched lines.
+TEST(InvariantAuditorTest, PicPendingCountOutOfStepIsReported) {
+  lab::TestSystem system(kernel::MakeWin98Profile(), 7);
+  system.RunFor(0.5);
+  hw::InterruptController& pic = system.kernel().pic();
+  std::vector<std::string> violations;
+  pic.Audit(&violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  int& count = hw::InterruptControllerTestPeer::pending_count(pic);
+  ++count;
+  pic.Audit(&violations);
+  --count;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("pending count"), std::string::npos) << violations[0];
+}
+
+// The calendar floor must not exceed any live ring or overflow entry.
+TEST(InvariantAuditorTest, CalendarFloorAboveALiveEntryIsReported) {
+  sim::Engine engine;
+  const sim::Cycles near = sim::MsToCycles(1.0);
+  const sim::Cycles far = 2 * sim::Engine::kHorizonCycles;
+  engine.ScheduleAt(near, [] {});
+  engine.ScheduleAt(far, [] {});
+  std::vector<std::string> violations;
+  engine.AuditCalendar(&violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+
+  sim::Cycles& floor = sim::EngineTestPeer::floor(engine);
+  floor = near + 1;
+  engine.AuditCalendar(&violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("live ring event"), std::string::npos) << violations[0];
+  EXPECT_NE(violations[0].find("below the calendar floor"), std::string::npos) << violations[0];
+
+  violations.clear();
+  floor = far + 1;
+  engine.AuditCalendar(&violations);
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_NE(violations[1].find("live overflow event"), std::string::npos) << violations[1];
 }
 
 TEST(InvariantAuditorTest, EngineAuditCalendarDirectly) {
