@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/drivers/latency_driver.h"
@@ -16,6 +17,7 @@
 #include "src/kernel/profile.h"
 #include "src/kernel/ready_queue.h"
 #include "src/kernel/smp.h"
+#include "src/lab/fleet.h"
 #include "src/lab/test_system.h"
 #include "src/sim/engine.h"
 #include "src/sim/rng.h"
@@ -289,6 +291,56 @@ void BM_SpinlockHandoff(benchmark::State& state) {
   benchmark::DoNotOptimize(wakes);
 }
 BENCHMARK(BM_SpinlockHandoff);
+
+// Fleet record codec: one cell's record to its shard line and back. Arg 1
+// carries a sketch with a full top-K tail (the ~450 KB records of the
+// sketch-bearing paper cells); arg 0 only the two histograms.
+lab::FleetCellRecord CodecRecord(bool sketch) {
+  lab::FleetCellRecord record;
+  record.index = 12345;
+  record.seed = 0x9e3779b97f4a7c15ull;
+  sim::Rng rng(20240601);
+  const int samples = 60000;
+  for (int i = 0; i < samples; ++i) {
+    const double ms = 0.01 * std::exp(6.0 * rng.NextDouble());
+    record.thread.RecordMs(ms);
+    record.dpc_interrupt.RecordMs(0.25 * ms);
+    if (sketch) {
+      record.thread_sketch.RecordMs(ms);
+    }
+  }
+  record.samples = samples;
+  record.stress_hours = samples / 3.6e6;
+  return record;
+}
+
+void BM_FleetRecordEncode(benchmark::State& state) {
+  const lab::FleetCellRecord record = CodecRecord(state.range(0) != 0);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string line = lab::FleetRecordToLine(record);
+    bytes += line.size();
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FleetRecordEncode)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_FleetRecordDecode(benchmark::State& state) {
+  const std::string line = lab::FleetRecordToLine(CodecRecord(state.range(0) != 0));
+  lab::FleetCellRecord record;
+  std::string error;
+  for (auto _ : state) {
+    if (!lab::FleetRecordFromLine(line, &record, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(record.samples);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(line.size() * state.iterations()));
+}
+BENCHMARK(BM_FleetRecordDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,7 +1,6 @@
 #include "src/lab/fleet.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -24,15 +23,21 @@ namespace wdmlat::lab {
 
 namespace {
 
+using report_json::AppendEscaped;
+using report_json::AppendHexDouble;
+using report_json::AppendHistogram;
+using report_json::AppendInt;
+using report_json::AppendSketch;
+using report_json::AppendU64;
 using report_json::Escape;
-using report_json::ParseU64;
-using report_json::ReadHexDoubleField;
+using report_json::ReadArray;
+using report_json::ReadFields;
+using report_json::ReadFixedArray;
+using report_json::ReadHexDouble;
 using report_json::ReadHistogram;
+using report_json::ReadIndex;
 using report_json::ReadSketch;
-using report_json::ReadStringField;
-using report_json::ReadU64Field;
-using report_json::WriteHistogram;
-using report_json::WriteSketch;
+using report_json::ReadU64;
 
 constexpr const char* kRecordFormat = "wdmlat-fleet-cell";
 constexpr const char* kReportFormat = "wdmlat-fleet-report";
@@ -433,100 +438,15 @@ bool LoadFleetSpec(const std::string& path, FleetSpec* spec, std::string* error)
 
 namespace {
 
-// Append-based builders: records are serialized once per cell, so at
-// population scale the ostringstream/temporary-string idiom of report_io
-// shows up in cells/sec. These produce byte-identical text with plain
-// appends into one reserved buffer.
-void AppendU64(std::string& out, std::uint64_t value) {
-  char buf[20];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-void AppendInt(std::string& out, int value) {
-  char buf[16];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-void AppendHexDouble(std::string& out, double value) {
-  char buf[48];
-  out.append(buf, static_cast<std::size_t>(
-                      std::snprintf(buf, sizeof(buf), "%a", value)));
-}
-
-void AppendHistogram(std::string& out, const char* name,
-                     const stats::LatencyHistogram& hist) {
-  const stats::LatencyHistogram::State state = hist.ExportState();
-  out += '"';
-  out += name;
-  out += "\": {\"buckets\": [";
-  bool first = true;
-  for (const auto& [index, count] : state.buckets) {
-    if (!first) out += ", ";
-    first = false;
-    out += '[';
-    AppendInt(out, index);
-    out += ", \"";
-    AppendU64(out, count);
-    out += "\"]";
-  }
-  out += "], \"count\": \"";
-  AppendU64(out, state.count);
-  out += "\", \"underflow\": \"";
-  AppendU64(out, state.underflow);
-  out += "\", \"sum_us\": \"";
-  AppendHexDouble(out, state.sum_us);
-  out += "\", \"min_us\": \"";
-  AppendHexDouble(out, state.min_us);
-  out += "\", \"max_us\": \"";
-  AppendHexDouble(out, state.max_us);
-  out += "\"}";
-}
-
-void AppendSketch(std::string& out, const char* name,
-                  const stats::QuantileSketch& sketch) {
-  const stats::QuantileSketch::State state = sketch.ExportState();
-  out += '"';
-  out += name;
-  out += "\": {\"levels\": [";
-  for (std::size_t l = 0; l < state.levels.size(); ++l) {
-    if (l != 0) out += ", ";
-    out += '[';
-    for (std::size_t i = 0; i < state.levels[l].size(); ++i) {
-      if (i != 0) out += ", ";
-      out += '"';
-      AppendHexDouble(out, state.levels[l][i]);
-      out += '"';
-    }
-    out += ']';
-  }
-  out += "], \"parities\": [";
-  for (std::size_t l = 0; l < state.parities.size(); ++l) {
-    if (l != 0) out += ", ";
-    AppendInt(out, static_cast<int>(state.parities[l]));
-  }
-  out += "], \"tail\": [";
-  for (std::size_t i = 0; i < state.tail.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    AppendHexDouble(out, state.tail[i]);
-    out += '"';
-  }
-  out += "], \"count\": \"";
-  AppendU64(out, state.count);
-  out += "\", \"sum_ms\": \"";
-  AppendHexDouble(out, state.sum_ms);
-  out += "\", \"min_ms\": \"";
-  AppendHexDouble(out, state.min_ms);
-  out += "\", \"max_ms\": \"";
-  AppendHexDouble(out, state.max_ms);
-  out += "\"}";
-}
-
 std::string RecordPayload(const FleetCellRecord& record) {
+  const stats::LatencyHistogram::State thread = record.thread.ExportState();
+  const stats::LatencyHistogram::State dpc_interrupt = record.dpc_interrupt.ExportState();
+  const stats::QuantileSketch::State sketch = record.thread_sketch.ExportState();
   std::string out;
-  out.reserve(1024);
+  // Fixed fields plus at most 48 bytes per histogram bucket; the sketch
+  // (~450 KB with a full tail) dominates.
+  out.reserve(1024 + 48 * (thread.buckets.size() + dpc_interrupt.buckets.size()) +
+              report_json::SketchTextBound(sketch));
   out += "{\"format\": \"";
   out += kRecordFormat;
   out += "\", \"version\": ";
@@ -551,45 +471,72 @@ std::string RecordPayload(const FleetCellRecord& record) {
     out += '"';
   }
   out += "], \"histograms\": {";
-  AppendHistogram(out, "thread", record.thread);
+  AppendHistogram(out, "thread", thread);
   out += ", ";
-  AppendHistogram(out, "dpc_interrupt", record.dpc_interrupt);
+  AppendHistogram(out, "dpc_interrupt", dpc_interrupt);
   out += "}, ";
-  AppendSketch(out, "thread_sketch", record.thread_sketch);
+  AppendSketch(out, "thread_sketch", sketch);
   out += '}';
   return out;
 }
 
-// Escape() of report_io, minus the intermediate string: payloads contain
-// quotes on every key, so the escaped copy is the expensive one.
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
+// The record payload fields. Every one is required but the sketch, which
+// sketch-free cohorts leave empty.
+constexpr const char* kPayloadFields[] = {
+    "format",           "version",          "cohort",           "samples",
+    "stress_hours",     "speed_mhz",        "fault_activations", "anatomy_episodes",
+    "anatomy_stage_cycles", "histograms",   "thread_sketch"};
+constexpr unsigned kPayloadRequired = 0x3ff;
+constexpr const char* kRecordHistograms[] = {"thread", "dpc_interrupt"};
+// Cohort indices are exact in a double up to 2^53.
+constexpr double kMaxCohortIndex = 9007199254740992.0;
+
+bool ReadPayload(obs::JsonCursor& in, FleetCellRecord* record) {
+  return ReadFields(in, kPayloadFields, kPayloadRequired, "record payload", [&](std::size_t field) {
+    switch (field) {
+      case 0: {
+        std::string_view format;
+        return in.ReadString(&format) &&
+               (format == kRecordFormat ||
+                in.Fail("record payload is not a " + std::string(kRecordFormat) + " document"));
+      }
+      case 1: {
+        double version = 0.0;
+        return in.ReadNumber(&version) &&
+               (version == kFormatVersion ||
+                in.Fail("record payload is not a v" + std::to_string(kFormatVersion) + " document"));
+      }
+      case 2: {
+        std::uint64_t cohort = 0;
+        const bool ok = ReadIndex(in, "cohort", kMaxCohortIndex, &cohort);
+        record->cohort = static_cast<std::size_t>(cohort);
+        return ok;
+      }
+      case 3:
+        return ReadU64(in, "samples", &record->samples);
+      case 4:
+        return ReadHexDouble(in, "stress_hours", &record->stress_hours);
+      case 5:
+        return ReadHexDouble(in, "speed_mhz", &record->speed_mhz);
+      case 6:
+        return ReadU64(in, "fault_activations", &record->fault_activations);
+      case 7:
+        return ReadU64(in, "anatomy_episodes", &record->anatomy_episodes);
+      case 8:
+        return ReadFixedArray(in, obs::kAnatomyStageCount, "anatomy_stage_cycles",
+                              [&](std::size_t s) {
+                                return ReadU64(in, "anatomy stage cycles",
+                                               &record->anatomy_stage_cycles[s]);
+                              });
+      case 9:
+        return ReadFields(in, kRecordHistograms, 0x3, "histograms", [&](std::size_t h) {
+          return ReadHistogram(in, kRecordHistograms[h],
+                               h == 0 ? &record->thread : &record->dpc_interrupt);
+        });
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        return ReadSketch(in, "thread_sketch", &record->thread_sketch);
     }
-  }
+  });
 }
 
 }  // namespace
@@ -610,30 +557,35 @@ std::string FleetRecordToLine(const FleetCellRecord& record) {
   return out;
 }
 
+// One pass unescapes the payload into a buffer kept per thread (a sketch
+// record's payload is ~450 KB), the checksum runs over it, and a second
+// cursor reads the payload's fields in place: hexfloats parse straight out
+// of the buffer, and no JSON tree is built.
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
                          std::string* error) {
   *record = FleetCellRecord{};
-  const obs::JsonParseResult parsed = obs::ParseJson(line);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      *error = "record line is not valid JSON: " + parsed.error;
-    }
-    return false;
-  }
-  const obs::JsonValue& root = parsed.value;
-  if (!root.is_object()) {
-    if (error != nullptr) {
-      *error = "record line is not an object";
-    }
-    return false;
-  }
+  static constexpr const char* kLineFields[] = {"cell", "seed", "checksum", "payload"};
+  thread_local std::string payload;
   FleetCellRecord result;
   std::uint64_t checksum = 0;
-  std::string payload;
-  if (!ReadU64Field(root, "cell", &result.index, error) ||
-      !ReadU64Field(root, "seed", &result.seed, error) ||
-      !ReadU64Field(root, "checksum", &checksum, error) ||
-      !ReadStringField(root, "payload", &payload, error)) {
+  obs::JsonCursor line_in(line);
+  const bool line_read =
+      ReadFields(line_in, kLineFields, 0xf, "record line", [&](std::size_t field) {
+        switch (field) {
+          case 0:
+            return ReadU64(line_in, "cell", &result.index);
+          case 1:
+            return ReadU64(line_in, "seed", &result.seed);
+          case 2:
+            return ReadU64(line_in, "checksum", &checksum);
+          default:
+            return line_in.ReadString(&payload);
+        }
+      });
+  if (!line_read || !line_in.Finish()) {
+    if (error != nullptr) {
+      *error = "record line is not a valid record: " + line_in.error();
+    }
     return false;
   }
   if (Fnv1a64(payload) != checksum) {
@@ -642,58 +594,12 @@ bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
     }
     return false;
   }
-  const obs::JsonParseResult body = obs::ParseJson(payload);
-  if (!body.valid || !body.value.is_object()) {
+  obs::JsonCursor in(payload);
+  if (!ReadPayload(in, &result) || !in.Finish()) {
     if (error != nullptr) {
-      *error = "record payload is not a JSON object: " + body.error;
+      *error = "record payload at offset " + std::to_string(in.error_offset()) + ": " +
+               in.error();
     }
-    return false;
-  }
-  const obs::JsonValue& doc = body.value;
-  if (doc.StringOr("format", "") != kRecordFormat ||
-      static_cast<int>(doc.NumberOr("version", 0.0)) != kFormatVersion) {
-    if (error != nullptr) {
-      *error = "record payload is not a " + std::string(kRecordFormat) + " v" +
-               std::to_string(kFormatVersion) + " document";
-    }
-    return false;
-  }
-  result.cohort = static_cast<std::size_t>(doc.NumberOr("cohort", 0.0));
-  if (!ReadU64Field(doc, "samples", &result.samples, error) ||
-      !ReadHexDoubleField(doc, "stress_hours", &result.stress_hours, error) ||
-      !ReadHexDoubleField(doc, "speed_mhz", &result.speed_mhz, error) ||
-      !ReadU64Field(doc, "fault_activations", &result.fault_activations, error) ||
-      !ReadU64Field(doc, "anatomy_episodes", &result.anatomy_episodes, error)) {
-    return false;
-  }
-  const obs::JsonValue* stages = doc.Find("anatomy_stage_cycles");
-  if (stages == nullptr || !stages->is_array() ||
-      stages->items().size() != obs::kAnatomyStageCount) {
-    if (error != nullptr) {
-      *error = "record needs an anatomy_stage_cycles array of " +
-               std::to_string(obs::kAnatomyStageCount);
-    }
-    return false;
-  }
-  for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-    const obs::JsonValue& item = stages->items()[s];
-    if (!item.is_string() || !ParseU64(item.as_string(), &result.anatomy_stage_cycles[s])) {
-      if (error != nullptr) {
-        *error = "anatomy stage cycles must be decimal u64 strings";
-      }
-      return false;
-    }
-  }
-  const obs::JsonValue* histograms = doc.Find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    if (error != nullptr) {
-      *error = "record has no histograms object";
-    }
-    return false;
-  }
-  if (!ReadHistogram(*histograms, "thread", &result.thread, error) ||
-      !ReadHistogram(*histograms, "dpc_interrupt", &result.dpc_interrupt, error) ||
-      !ReadSketch(doc, "thread_sketch", &result.thread_sketch, error)) {
     return false;
   }
   *record = std::move(result);
@@ -1092,28 +998,29 @@ bool LoadFleetQuarantine(const std::string& path,
     if (line.empty()) {
       continue;
     }
-    const obs::JsonParseResult parsed = obs::ParseJson(line);
-    if (!parsed.valid || !parsed.value.is_object()) {
-      if (error != nullptr) {
-        *error = path + ":" + std::to_string(line_no) +
-                 ": quarantine line is not a JSON object";
-      }
-      return false;
-    }
+    static constexpr const char* kFields[] = {"cell", "seed", "taxonomy", "attempts"};
     FleetQuarantineEntry entry;
-    std::string parse_error;
-    if (!ReadU64Field(parsed.value, "cell", &entry.cell, &parse_error) ||
-        !ReadU64Field(parsed.value, "seed", &entry.seed, &parse_error)) {
-      if (error != nullptr) {
-        *error = path + ":" + std::to_string(line_no) + ": " + parse_error;
+    obs::JsonCursor in(line);
+    const bool read = ReadFields(in, kFields, 0x7, "quarantine line", [&](std::size_t field) {
+      switch (field) {
+        case 0:
+          return ReadU64(in, "cell", &entry.cell);
+        case 1:
+          return ReadU64(in, "seed", &entry.seed);
+        case 2:
+          return in.ReadString(&entry.taxonomy) &&
+                 (!entry.taxonomy.empty() || in.Fail("empty taxonomy"));
+        default: {
+          std::uint64_t attempts = 0;
+          const bool ok = ReadIndex(in, "attempts", 2147483648.0, &attempts);
+          entry.attempts = static_cast<int>(attempts);
+          return ok;
+        }
       }
-      return false;
-    }
-    entry.taxonomy = parsed.value.StringOr("taxonomy", "");
-    entry.attempts = static_cast<int>(parsed.value.NumberOr("attempts", 1.0));
-    if (entry.taxonomy.empty()) {
+    });
+    if (!read || !in.Finish()) {
       if (error != nullptr) {
-        *error = path + ":" + std::to_string(line_no) + ": missing taxonomy";
+        *error = path + ":" + std::to_string(line_no) + ": " + in.error();
       }
       return false;
     }
@@ -1300,6 +1207,9 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
   };
   std::vector<BufferedRecord> buffered(shards);
 
+  // One line buffer for the whole merge: a sketch record's line is ~520 KB,
+  // and getline into a fresh string regrows it every time.
+  std::string line;
   // Global grid order: cell i lives at the front of stream i % shards, so
   // the k-way merge is a round-robin walk. Folding in this one fixed order —
   // whatever shard/job split produced the files — is what makes the merged
@@ -1319,7 +1229,7 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     std::string fatal;
     const auto fill = [&]() -> bool {  // false = strict-mode parse failure
       while (!buffered[k].has) {
-        std::string line;
+        line.clear();
         while (std::getline(in, line)) {
           if (!line.empty()) {
             break;
@@ -1464,66 +1374,101 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
 }
 
 std::string FleetReportToJson(const FleetReport& report) {
-  std::ostringstream out;
-  out << "{\"format\": \"" << kReportFormat << "\", \"version\": " << kFormatVersion
-      << ",\n\"name\": \"" << Escape(report.name) << "\", \"fingerprint\": \""
-      << U64String(report.fingerprint) << "\", \"cells\": \"" << U64String(report.cells)
-      << "\",\n\"cells_completed\": \"" << U64String(report.cells_completed)
-      << "\", \"cells_quarantined\": \"" << U64String(report.cells_quarantined)
-      << "\",\n\"quarantine\": [";
+  std::string out;
+  out += "{\"format\": \"";
+  out += kReportFormat;
+  out += "\", \"version\": ";
+  AppendInt(out, kFormatVersion);
+  out += ",\n\"name\": \"";
+  AppendEscaped(out, report.name);
+  out += "\", \"fingerprint\": \"";
+  AppendU64(out, report.fingerprint);
+  out += "\", \"cells\": \"";
+  AppendU64(out, report.cells);
+  out += "\",\n\"cells_completed\": \"";
+  AppendU64(out, report.cells_completed);
+  out += "\", \"cells_quarantined\": \"";
+  AppendU64(out, report.cells_quarantined);
+  out += "\",\n\"quarantine\": [";
   for (std::size_t q = 0; q < report.quarantine.size(); ++q) {
     const FleetQuarantineEntry& entry = report.quarantine[q];
-    out << (q == 0 ? "\n" : ",\n") << "{\"cell\": \"" << U64String(entry.cell)
-        << "\", \"seed\": \"" << U64String(entry.seed) << "\", \"cohort\": "
-        << entry.cohort << ", \"taxonomy\": \"" << Escape(entry.taxonomy)
-        << "\", \"attempts\": " << entry.attempts << "}";
+    out += q == 0 ? "\n" : ",\n";
+    out += "{\"cell\": \"";
+    AppendU64(out, entry.cell);
+    out += "\", \"seed\": \"";
+    AppendU64(out, entry.seed);
+    out += "\", \"cohort\": ";
+    AppendU64(out, entry.cohort);
+    out += ", \"taxonomy\": \"";
+    AppendEscaped(out, entry.taxonomy);
+    out += "\", \"attempts\": ";
+    AppendInt(out, entry.attempts);
+    out += '}';
   }
-  out << "],\n\"cohorts\": [";
+  out += "],\n\"cohorts\": [";
   for (std::size_t c = 0; c < report.cohorts.size(); ++c) {
     const FleetCohortReport& cohort = report.cohorts[c];
-    out << (c == 0 ? "\n" : ",\n");
-    out << "{\"name\": \"" << Escape(cohort.name) << "\", \"os\": \"" << Escape(cohort.os)
-        << "\", \"priority\": " << cohort.priority << ", \"planned\": \""
-        << U64String(cohort.planned) << "\", \"cells\": \"" << U64String(cohort.cells)
-        << "\", \"quarantined\": \"" << U64String(cohort.quarantined)
-        << "\", \"samples\": \""
-        << U64String(cohort.counters.samples) << "\", \"stress_hours\": \""
-        << HexDouble(cohort.counters.stress_hours) << "\", \"samples_per_hour\": \""
-        << HexDouble(cohort.counters.SamplesPerHour()) << "\",\n";
+    out += c == 0 ? "\n" : ",\n";
+    out += "{\"name\": \"";
+    AppendEscaped(out, cohort.name);
+    out += "\", \"os\": \"";
+    AppendEscaped(out, cohort.os);
+    out += "\", \"priority\": ";
+    AppendInt(out, cohort.priority);
+    out += ", \"planned\": \"";
+    AppendU64(out, cohort.planned);
+    out += "\", \"cells\": \"";
+    AppendU64(out, cohort.cells);
+    out += "\", \"quarantined\": \"";
+    AppendU64(out, cohort.quarantined);
+    out += "\", \"samples\": \"";
+    AppendU64(out, cohort.counters.samples);
+    out += "\", \"stress_hours\": \"";
+    AppendHexDouble(out, cohort.counters.stress_hours);
+    out += "\", \"samples_per_hour\": \"";
+    AppendHexDouble(out, cohort.counters.SamplesPerHour());
+    out += "\",\n";
     // Readable tails for humans and dashboards; the exact states below are
     // the mergeable ground truth.
     char quantiles[256];
-    std::snprintf(quantiles, sizeof(quantiles),
-                  "\"thread_ms\": {\"p50\": %.6g, \"p99\": %.6g, \"p999\": %.6g, "
-                  "\"p9999\": %.6g, \"max\": %.6g},\n",
-                  cohort.thread.QuantileMs(0.5), cohort.thread.QuantileMs(0.99),
-                  cohort.thread.QuantileMs(0.999), cohort.thread.QuantileMs(0.9999),
-                  cohort.thread.max_ms());
-    out << quantiles;
-    out << "\"speed_mhz\": {\"min\": \"" << HexDouble(cohort.speed_mhz_min)
-        << "\", \"mean\": \""
-        << HexDouble(cohort.cells > 0
-                         ? cohort.speed_mhz_sum / static_cast<double>(cohort.cells)
-                         : 0.0)
-        << "\", \"max\": \"" << HexDouble(cohort.speed_mhz_max) << "\"},\n";
-    out << "\"fault_cells\": \"" << U64String(cohort.fault_cells)
-        << "\", \"fault_activations\": \"" << U64String(cohort.fault_activations)
-        << "\", \"anatomy_episodes\": \"" << U64String(cohort.anatomy_episodes)
-        << "\", \"anatomy_stage_cycles\": [";
+    const int written =
+        std::snprintf(quantiles, sizeof(quantiles),
+                      "\"thread_ms\": {\"p50\": %.6g, \"p99\": %.6g, \"p999\": %.6g, "
+                      "\"p9999\": %.6g, \"max\": %.6g},\n",
+                      cohort.thread.QuantileMs(0.5), cohort.thread.QuantileMs(0.99),
+                      cohort.thread.QuantileMs(0.999), cohort.thread.QuantileMs(0.9999),
+                      cohort.thread.max_ms());
+    out.append(quantiles, static_cast<std::size_t>(written));
+    out += "\"speed_mhz\": {\"min\": \"";
+    AppendHexDouble(out, cohort.speed_mhz_min);
+    out += "\", \"mean\": \"";
+    AppendHexDouble(out, cohort.cells > 0
+                             ? cohort.speed_mhz_sum / static_cast<double>(cohort.cells)
+                             : 0.0);
+    out += "\", \"max\": \"";
+    AppendHexDouble(out, cohort.speed_mhz_max);
+    out += "\"},\n\"fault_cells\": \"";
+    AppendU64(out, cohort.fault_cells);
+    out += "\", \"fault_activations\": \"";
+    AppendU64(out, cohort.fault_activations);
+    out += "\", \"anatomy_episodes\": \"";
+    AppendU64(out, cohort.anatomy_episodes);
+    out += "\", \"anatomy_stage_cycles\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      out << (s == 0 ? "" : ", ") << "\"" << U64String(cohort.anatomy_stage_cycles[s])
-          << "\"";
+      out += s == 0 ? "\"" : ", \"";
+      AppendU64(out, cohort.anatomy_stage_cycles[s]);
+      out += '"';
     }
-    out << "],\n\"histograms\": {";
-    WriteHistogram(out, "thread", cohort.thread);
-    out << ", ";
-    WriteHistogram(out, "dpc_interrupt", cohort.dpc_interrupt);
-    out << "}, ";
-    WriteSketch(out, "thread_sketch", cohort.thread_sketch);
-    out << "}";
+    out += "],\n\"histograms\": {";
+    AppendHistogram(out, "thread", cohort.thread.ExportState());
+    out += ", ";
+    AppendHistogram(out, "dpc_interrupt", cohort.dpc_interrupt.ExportState());
+    out += "}, ";
+    AppendSketch(out, "thread_sketch", cohort.thread_sketch.ExportState());
+    out += '}';
   }
-  out << "]}\n";
-  return out.str();
+  out += "]}\n";
+  return out;
 }
 
 }  // namespace wdmlat::lab

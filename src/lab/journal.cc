@@ -1,6 +1,5 @@
 #include "src/lab/journal.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -16,52 +15,7 @@ namespace {
 constexpr const char* kFormatName = "wdmlat-run-journal";
 constexpr int kFormatVersion = 1;
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(value);
-  return true;
-}
+using report_json::ParseU64;
 
 // Fingerprint input: a canonical textual description of the spec. Text is
 // deliberate — it keeps the hash independent of struct layout, and a
@@ -243,10 +197,10 @@ bool RunJournal::Append(const JournalEntry& entry, std::string* error) {
        << "\", \"status\": \"" << entry.status << "\"";
   if (entry.status == "ok") {
     line << ", \"checksum\": \"" << entry.checksum << "\", \"artifact\": \""
-         << EscapeJson(entry.artifact) << "\", \"samples\": \"" << entry.samples << "\"";
+         << report_json::Escape(entry.artifact) << "\", \"samples\": \"" << entry.samples << "\"";
   } else {
-    line << ", \"taxonomy\": \"" << EscapeJson(entry.taxonomy) << "\", \"message\": \""
-         << EscapeJson(entry.message) << "\"";
+    line << ", \"taxonomy\": \"" << report_json::Escape(entry.taxonomy) << "\", \"message\": \""
+         << report_json::Escape(entry.message) << "\"";
   }
   line << ", \"attempts\": " << entry.attempts << "}\n";
   out_ << line.str();

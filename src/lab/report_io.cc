@@ -1,11 +1,11 @@
 #include "src/lab/report_io.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
-#include "src/obs/json.h"
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 
 namespace wdmlat::lab {
 
@@ -14,256 +14,354 @@ namespace {
 constexpr const char* kFormatName = "wdmlat-cell-report";
 constexpr int kFormatVersion = 1;
 
-std::string U64String(std::uint64_t value) { return std::to_string(value); }
+constexpr char kHexDigits[] = "0123456789abcdef";
+constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << 52) - 1;
+
+// glibc's "%a" for a double, into `buf` (at most 24 bytes); returns the
+// length. Normals print as 0x1.<fraction>p<exp>, subnormals as
+// 0x0.<fraction>p-1022, zero as 0x0p+0; the fraction is the 52 stored bits
+// in 13 hex digits with trailing zeros dropped (and the point with them).
+std::size_t FormatHexDouble(double value, char* buf) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  const int biased = static_cast<int>(bits >> 52 & 0x7ff);
+  const std::uint64_t fraction = bits & kFractionMask;
+  char* p = buf;
+  if (bits >> 63 != 0) {
+    *p++ = '-';
+  }
+  if (biased == 0x7ff) {
+    const char* word = fraction != 0 ? "nan" : "inf";
+    for (int i = 0; i < 3; ++i) {
+      *p++ = word[i];
+    }
+    return static_cast<std::size_t>(p - buf);
+  }
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  int exponent = biased == 0 ? (fraction == 0 ? 0 : -1022) : biased - 1023;
+  if (fraction != 0) {
+    *p++ = '.';
+    const int digits = 13 - std::countr_zero(fraction) / 4;
+    for (int i = 0; i < digits; ++i) {
+      *p++ = kHexDigits[fraction >> (48 - 4 * i) & 0xf];
+    }
+  }
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  if (exponent < 0) {
+    exponent = -exponent;
+  }
+  char digits[4];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + exponent % 10);
+    exponent /= 10;
+  } while (exponent != 0);
+  while (n > 0) {
+    *p++ = digits[--n];
+  }
+  return static_cast<std::size_t>(p - buf);
+}
+
+// Value of each lowercase hex digit, -1 for every other byte: a table, not
+// branches, because the digits of real data are as unpredictable as a
+// branch predictor's worst case.
+constexpr std::array<std::int8_t, 256> kLowerHexValue = [] {
+  std::array<std::int8_t, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[c] = c >= '0' && c <= '9' ? c - '0' : c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
+  }
+  return table;
+}();
+
+// `values` as a JSON array of hexfloat strings, one append per value.
+void AppendHexArray(std::string& out, const std::vector<double>& values) {
+  out += '[';
+  char buf[32];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    char* p = buf;
+    if (i != 0) {
+      *p++ = ',';
+      *p++ = ' ';
+    }
+    *p++ = '"';
+    p += FormatHexDouble(values[i], p);
+    *p++ = '"';
+    out.append(buf, p);
+  }
+  out += ']';
+}
 
 }  // namespace
 
 // Shared with the fleet record serialization — see report_io.h.
 namespace report_json {
 
+void AppendU64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendInt(std::string& out, int value) {
+  char buf[16];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendHexDouble(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, FormatHexDouble(value, buf));
+}
+
+void AppendEscaped(std::string& out, std::string_view text) {
+  // Runs between special bytes are copied whole into `out`, grown up front
+  // for the common case (a few escapes) and trimmed at the end.
+  std::size_t n = out.size();
+  out.resize(n + text.size() + text.size() / 8 + 16);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (;;) {
+    const char* const special = obs::FindStringSpecial(p, end);
+    const std::size_t run = static_cast<std::size_t>(special - p);
+    if (n + run + 6 > out.size()) {
+      out.resize(std::max(n + run + 6, 2 * out.size()));
+    }
+    std::memcpy(out.data() + n, p, run);
+    n += run;
+    if (special == end) {
+      break;
+    }
+    p = special + 1;
+    const unsigned char c = static_cast<unsigned char>(*special);
+    char* const escape = out.data() + n;
+    escape[0] = '\\';
+    switch (c) {
+      case '"':
+      case '\\':
+        escape[1] = static_cast<char>(c);
+        break;
+      case '\n':
+        escape[1] = 'n';
+        break;
+      case '\r':
+        escape[1] = 'r';
+        break;
+      case '\t':
+        escape[1] = 't';
+        break;
+      default:
+        escape[1] = 'u';
+        escape[2] = '0';
+        escape[3] = '0';
+        escape[4] = kHexDigits[c >> 4];
+        escape[5] = kHexDigits[c & 0xf];
+        n += 4;
+    }
+    n += 2;
+  }
+  out.resize(n);
+}
+
 std::string Escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscaped(out, text);
   return out;
 }
 
 bool ParseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto result = std::from_chars(text.data(), end, value);
+  if (text.empty() || result.ec != std::errc() || result.ptr != end) {
     return false;
   }
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
-  if (errno != 0 || end != copy.c_str() + copy.size()) {
+  *out = value;
+  return true;
+}
+
+void AppendHistogram(std::string& out, const char* name,
+                     const stats::LatencyHistogram::State& state) {
+  out += '"';
+  out += name;
+  out += "\": {\"buckets\": [";
+  bool first = true;
+  for (const auto& [index, count] : state.buckets) {
+    if (!first) out += ", ";
+    first = false;
+    out += '[';
+    AppendInt(out, index);
+    out += ", \"";
+    AppendU64(out, count);
+    out += "\"]";
+  }
+  out += "], \"count\": \"";
+  AppendU64(out, state.count);
+  out += "\", \"underflow\": \"";
+  AppendU64(out, state.underflow);
+  out += "\", \"sum_us\": \"";
+  AppendHexDouble(out, state.sum_us);
+  out += "\", \"min_us\": \"";
+  AppendHexDouble(out, state.min_us);
+  out += "\", \"max_us\": \"";
+  AppendHexDouble(out, state.max_us);
+  out += "\"}";
+}
+
+void AppendSketch(std::string& out, const char* name, const stats::QuantileSketch::State& state) {
+  out += '"';
+  out += name;
+  out += "\": {\"levels\": [";
+  for (std::size_t l = 0; l < state.levels.size(); ++l) {
+    if (l != 0) out += ", ";
+    AppendHexArray(out, state.levels[l]);
+  }
+  out += "], \"parities\": [";
+  for (std::size_t l = 0; l < state.parities.size(); ++l) {
+    if (l != 0) out += ", ";
+    AppendInt(out, static_cast<int>(state.parities[l]));
+  }
+  // Tail heap order is exported verbatim so the import is bit-identical.
+  out += "], \"tail\": ";
+  AppendHexArray(out, state.tail);
+  out += ", \"count\": \"";
+  AppendU64(out, state.count);
+  out += "\", \"sum_ms\": \"";
+  AppendHexDouble(out, state.sum_ms);
+  out += "\", \"min_ms\": \"";
+  AppendHexDouble(out, state.min_ms);
+  out += "\", \"max_ms\": \"";
+  AppendHexDouble(out, state.max_ms);
+  out += "\"}";
+}
+
+std::size_t SketchTextBound(const stats::QuantileSketch::State& state) {
+  // Per value: a 24-byte hexfloat, its quotes and a separator; per level:
+  // brackets, separators and a parity; plus the keys and four scalars.
+  std::size_t values = state.tail.size();
+  for (const std::vector<double>& level : state.levels) {
+    values += level.size();
+  }
+  return 28 * values + 8 * state.levels.size() + 256;
+}
+
+bool ReadU64(obs::JsonCursor& in, const char* field, std::uint64_t* out) {
+  const std::size_t at = in.offset();
+  std::string_view text;
+  if (!in.ReadString(&text)) {
     return false;
+  }
+  return ParseU64(text, out) ||
+         in.FailAt(at, std::string("field \"") + field + "\" is not a decimal u64: " +
+                           std::string(text));
+}
+
+bool ReadHexDouble(obs::JsonCursor& in, const char* field, double* out) {
+  const std::size_t at = in.offset();
+  std::string_view text;
+  if (!in.ReadString(&text)) {
+    return false;
+  }
+  return ParseHexDouble(text, out) ||
+         in.FailAt(at, std::string("field \"") + field + "\" is not a hexfloat: " +
+                           std::string(text));
+}
+
+bool ReadIndex(obs::JsonCursor& in, const char* field, double limit, std::uint64_t* out) {
+  const std::size_t at = in.offset();
+  double value = 0.0;
+  if (!in.ReadNumber(&value)) {
+    return false;
+  }
+  if (!(value >= 0.0 && value < limit && value == std::floor(value))) {
+    return in.FailAt(at, std::string("field \"") + field + "\" is not an integer in range");
   }
   *out = static_cast<std::uint64_t>(value);
   return true;
 }
 
-void WriteHistogram(std::ostringstream& out, const char* name,
-                    const stats::LatencyHistogram& hist) {
-  const stats::LatencyHistogram::State state = hist.ExportState();
-  out << "\"" << name << "\": {\"buckets\": [";
-  bool first = true;
-  for (const auto& [index, count] : state.buckets) {
-    out << (first ? "" : ", ") << "[" << index << ", \"" << U64String(count) << "\"]";
-    first = false;
-  }
-  out << "], \"count\": \"" << U64String(state.count) << "\", \"underflow\": \""
-      << U64String(state.underflow) << "\", \"sum_us\": \"" << HexDouble(state.sum_us)
-      << "\", \"min_us\": \"" << HexDouble(state.min_us) << "\", \"max_us\": \""
-      << HexDouble(state.max_us) << "\"}";
-}
-
-bool ReadStringField(const obs::JsonValue& object, const char* key, std::string* out,
-                     std::string* error) {
-  const obs::JsonValue* value = object.Find(key);
-  if (value == nullptr || !value->is_string()) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-string field \"") + key + "\"";
-    }
-    return false;
-  }
-  *out = value->as_string();
-  return true;
-}
-
-bool ReadU64Field(const obs::JsonValue& object, const char* key, std::uint64_t* out,
-                  std::string* error) {
-  std::string text;
-  if (!ReadStringField(object, key, &text, error)) {
-    return false;
-  }
-  if (!ParseU64(text, out)) {
-    if (error != nullptr) {
-      *error = std::string("field \"") + key + "\" is not a decimal u64: " + text;
-    }
-    return false;
-  }
-  return true;
-}
-
-bool ReadHexDoubleField(const obs::JsonValue& object, const char* key, double* out,
-                        std::string* error) {
-  std::string text;
-  if (!ReadStringField(object, key, &text, error)) {
-    return false;
-  }
-  if (!ParseHexDouble(text, out)) {
-    if (error != nullptr) {
-      *error = std::string("field \"") + key + "\" is not a hexfloat: " + text;
-    }
-    return false;
-  }
-  return true;
-}
-
-bool ReadHistogram(const obs::JsonValue& histograms, const char* name,
-                   stats::LatencyHistogram* out, std::string* error) {
-  const obs::JsonValue* object = histograms.Find(name);
-  if (object == nullptr || !object->is_object()) {
-    if (error != nullptr) {
-      *error = std::string("missing histogram \"") + name + "\"";
-    }
-    return false;
-  }
+bool ReadHistogram(obs::JsonCursor& in, const char* name, stats::LatencyHistogram* out) {
+  static constexpr const char* kFields[] = {"buckets", "count",  "underflow",
+                                            "sum_us",  "min_us", "max_us"};
   stats::LatencyHistogram::State state;
-  const obs::JsonValue* buckets = object->Find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) {
-    if (error != nullptr) {
-      *error = std::string("histogram \"") + name + "\" has no buckets array";
+  const bool read = ReadFields(in, kFields, 0x3f, name, [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return ReadArray(in, [&] {
+          std::uint64_t index = 0;
+          std::uint64_t count = 0;
+          const bool entry = ReadFixedArray(in, 2, "bucket entry", [&](std::size_t i) {
+            return i == 0 ? ReadIndex(in, "bucket index", stats::LatencyHistogram::kBucketCount,
+                                      &index)
+                          : ReadU64(in, "bucket count", &count);
+          });
+          state.buckets.emplace_back(static_cast<int>(index), count);
+          return entry;
+        });
+      case 1:
+        return ReadU64(in, "count", &state.count);
+      case 2:
+        return ReadU64(in, "underflow", &state.underflow);
+      case 3:
+        return ReadHexDouble(in, "sum_us", &state.sum_us);
+      case 4:
+        return ReadHexDouble(in, "min_us", &state.min_us);
+      default:
+        return ReadHexDouble(in, "max_us", &state.max_us);
     }
-    return false;
-  }
-  for (const obs::JsonValue& entry : buckets->items()) {
-    if (!entry.is_array() || entry.items().size() != 2 || !entry.items()[0].is_number() ||
-        !entry.items()[1].is_string()) {
-      if (error != nullptr) {
-        *error = std::string("histogram \"") + name + "\": malformed bucket entry";
-      }
-      return false;
-    }
-    std::uint64_t count = 0;
-    if (!ParseU64(entry.items()[1].as_string(), &count)) {
-      if (error != nullptr) {
-        *error = std::string("histogram \"") + name + "\": bad bucket count";
-      }
-      return false;
-    }
-    state.buckets.emplace_back(static_cast<int>(entry.items()[0].as_number()), count);
-  }
-  if (!ReadU64Field(*object, "count", &state.count, error) ||
-      !ReadU64Field(*object, "underflow", &state.underflow, error) ||
-      !ReadHexDoubleField(*object, "sum_us", &state.sum_us, error) ||
-      !ReadHexDoubleField(*object, "min_us", &state.min_us, error) ||
-      !ReadHexDoubleField(*object, "max_us", &state.max_us, error)) {
-    return false;
-  }
-  if (!out->ImportState(state)) {
-    if (error != nullptr) {
-      *error = std::string("histogram \"") + name +
-               "\": state rejected (bucket/count conservation)";
-    }
-    return false;
-  }
-  return true;
+  });
+  return read && (out->ImportState(state) ||
+                  in.Fail(std::string("histogram \"") + name +
+                          "\": state rejected (bucket/count conservation)"));
 }
 
-void WriteSketch(std::ostringstream& out, const char* name,
-                 const stats::QuantileSketch& sketch) {
-  const stats::QuantileSketch::State state = sketch.ExportState();
-  out << "\"" << name << "\": {\"levels\": [";
-  for (std::size_t l = 0; l < state.levels.size(); ++l) {
-    out << (l == 0 ? "" : ", ") << "[";
-    for (std::size_t i = 0; i < state.levels[l].size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << HexDouble(state.levels[l][i]) << "\"";
-    }
-    out << "]";
-  }
-  out << "], \"parities\": [";
-  for (std::size_t l = 0; l < state.parities.size(); ++l) {
-    out << (l == 0 ? "" : ", ") << static_cast<int>(state.parities[l]);
-  }
-  // Tail heap order is exported verbatim so the import is bit-identical.
-  out << "], \"tail\": [";
-  for (std::size_t i = 0; i < state.tail.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << HexDouble(state.tail[i]) << "\"";
-  }
-  out << "], \"count\": \"" << U64String(state.count) << "\", \"sum_ms\": \""
-      << HexDouble(state.sum_ms) << "\", \"min_ms\": \"" << HexDouble(state.min_ms)
-      << "\", \"max_ms\": \"" << HexDouble(state.max_ms) << "\"}";
-}
-
-bool ReadSketch(const obs::JsonValue& object, const char* name, stats::QuantileSketch* out,
-                std::string* error) {
-  const obs::JsonValue* sketch = object.Find(name);
-  if (sketch == nullptr) {
-    return true;  // pre-sketch artifact: leave the sketch empty
-  }
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) {
-      *error = std::string("sketch \"") + name + "\": " + what;
-    }
-    return false;
-  };
-  if (!sketch->is_object()) {
-    return fail("not an object");
-  }
+bool ReadSketch(obs::JsonCursor& in, const char* name, stats::QuantileSketch* out) {
+  static constexpr const char* kFields[] = {"levels", "parities", "tail",  "count",
+                                            "sum_ms", "min_ms",   "max_ms"};
   stats::QuantileSketch::State state;
-  const obs::JsonValue* levels = sketch->Find("levels");
-  const obs::JsonValue* parities = sketch->Find("parities");
-  const obs::JsonValue* tail = sketch->Find("tail");
-  if (levels == nullptr || !levels->is_array() || parities == nullptr ||
-      !parities->is_array() || tail == nullptr || !tail->is_array()) {
-    return fail("missing levels/parities/tail arrays");
-  }
-  for (const obs::JsonValue& level : levels->items()) {
-    if (!level.is_array()) {
-      return fail("malformed level");
-    }
-    std::vector<double> items;
-    items.reserve(level.items().size());
-    for (const obs::JsonValue& item : level.items()) {
+  const auto read_values = [&](const char* field, std::vector<double>* values) {
+    return ReadArray(in, [&] {
       double value = 0.0;
-      if (!item.is_string() || !ParseHexDouble(item.as_string(), &value)) {
-        return fail("level item is not a hexfloat");
+      if (!ReadHexDouble(in, field, &value)) {
+        return false;
       }
-      items.push_back(value);
+      values->push_back(value);
+      return true;
+    });
+  };
+  const bool read = ReadFields(in, kFields, 0x7f, name, [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return ReadArray(in, [&] {
+          state.levels.emplace_back();
+          return read_values("level item", &state.levels.back());
+        });
+      case 1:
+        return ReadArray(in, [&] {
+          std::uint64_t parity = 0;
+          if (!ReadIndex(in, "parity", 2.0, &parity)) {
+            return false;
+          }
+          state.parities.push_back(static_cast<std::uint8_t>(parity));
+          return true;
+        });
+      case 2:
+        return read_values("tail item", &state.tail);
+      case 3:
+        return ReadU64(in, "count", &state.count);
+      case 4:
+        return ReadHexDouble(in, "sum_ms", &state.sum_ms);
+      case 5:
+        return ReadHexDouble(in, "min_ms", &state.min_ms);
+      default:
+        return ReadHexDouble(in, "max_ms", &state.max_ms);
     }
-    state.levels.push_back(std::move(items));
-  }
-  for (const obs::JsonValue& parity : parities->items()) {
-    if (!parity.is_number()) {
-      return fail("parity is not a number");
-    }
-    state.parities.push_back(static_cast<std::uint8_t>(parity.as_number()));
-  }
-  for (const obs::JsonValue& item : tail->items()) {
-    double value = 0.0;
-    if (!item.is_string() || !ParseHexDouble(item.as_string(), &value)) {
-      return fail("tail item is not a hexfloat");
-    }
-    state.tail.push_back(value);
-  }
-  if (!ReadU64Field(*sketch, "count", &state.count, error) ||
-      !ReadHexDoubleField(*sketch, "sum_ms", &state.sum_ms, error) ||
-      !ReadHexDoubleField(*sketch, "min_ms", &state.min_ms, error) ||
-      !ReadHexDoubleField(*sketch, "max_ms", &state.max_ms, error)) {
-    return false;
-  }
-  if (!out->ImportState(state)) {
-    return fail("state rejected (weight conservation)");
-  }
-  return true;
+  });
+  return read && (out->ImportState(state) ||
+                  in.Fail(std::string("sketch \"") + name +
+                          "\": state rejected (weight conservation)"));
 }
 
 }  // namespace report_json
@@ -272,90 +370,146 @@ using namespace report_json;  // NOLINT: same-file dialect helpers
 
 namespace {
 
-void WriteAnatomy(std::ostringstream& out, const std::vector<obs::AnatomyEpisode>& anatomy) {
-  out << "\"anatomy\": [";
+void AppendBool(std::string& out, bool value) { out += value ? "true" : "false"; }
+
+void AppendBlame(std::string& out, const obs::AnatomyEpisode::Blame& blame) {
+  out += "{\"module\": \"";
+  AppendEscaped(out, blame.module);
+  out += "\", \"function\": \"";
+  AppendEscaped(out, blame.function);
+  out += "\", \"cycles\": \"";
+  AppendU64(out, blame.cycles);
+  out += "\"}";
+}
+
+void AppendAnatomy(std::string& out, const std::vector<obs::AnatomyEpisode>& anatomy) {
+  out += "\"anatomy\": [";
   for (std::size_t i = 0; i < anatomy.size(); ++i) {
     const obs::AnatomyEpisode& ep = anatomy[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "{\"latency_ms\": \"" << HexDouble(ep.latency_ms) << "\", \"window_begin\": \""
-        << U64String(ep.window_begin) << "\", \"window_end\": \""
-        << U64String(ep.window_end) << "\", \"truncated\": "
-        << (ep.truncated ? "true" : "false") << ", \"stage_cycles\": [";
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"latency_ms\": \"";
+    AppendHexDouble(out, ep.latency_ms);
+    out += "\", \"window_begin\": \"";
+    AppendU64(out, ep.window_begin);
+    out += "\", \"window_end\": \"";
+    AppendU64(out, ep.window_end);
+    out += "\", \"truncated\": ";
+    AppendBool(out, ep.truncated);
+    out += ", \"stage_cycles\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      out << (s == 0 ? "" : ", ") << "\"" << U64String(ep.stage_cycles[s]) << "\"";
+      out += s == 0 ? "\"" : ", \"";
+      AppendU64(out, ep.stage_cycles[s]);
+      out += '"';
     }
-    out << "], \"stage_blame\": [";
+    out += "], \"stage_blame\": [";
     for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      const obs::AnatomyEpisode::Blame& blame = ep.stage_blame[s];
-      out << (s == 0 ? "" : ", ") << "{\"module\": \"" << Escape(blame.module)
-          << "\", \"function\": \"" << Escape(blame.function) << "\", \"cycles\": \""
-          << U64String(blame.cycles) << "\"}";
+      if (s != 0) out += ", ";
+      AppendBlame(out, ep.stage_blame[s]);
     }
-    out << "], \"culprit\": {\"module\": \"" << Escape(ep.culprit.module)
-        << "\", \"function\": \"" << Escape(ep.culprit.function) << "\", \"cycles\": \""
-        << U64String(ep.culprit.cycles) << "\"}}";
+    out += "], \"culprit\": ";
+    AppendBlame(out, ep.culprit);
+    out += '}';
   }
-  out << "]";
+  out += ']';
 }
 
-bool ReadBlame(const obs::JsonValue& object, obs::AnatomyEpisode::Blame* blame,
-               std::string* error) {
-  return object.is_object() &&
-         ReadStringField(object, "module", &blame->module, error) &&
-         ReadStringField(object, "function", &blame->function, error) &&
-         ReadU64Field(object, "cycles", &blame->cycles, error);
+bool ReadBlame(obs::JsonCursor& in, obs::AnatomyEpisode::Blame* blame) {
+  static constexpr const char* kFields[] = {"module", "function", "cycles"};
+  return ReadFields(in, kFields, 0x7, "blame", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return in.ReadString(&blame->module);
+      case 1:
+        return in.ReadString(&blame->function);
+      default:
+        return ReadU64(in, "cycles", &blame->cycles);
+    }
+  });
 }
 
-bool ReadAnatomy(const obs::JsonValue& root, std::vector<obs::AnatomyEpisode>* anatomy,
-                 std::string* error) {
-  const obs::JsonValue* entries = root.Find("anatomy");
-  if (entries == nullptr) {
-    return true;  // pre-anatomy artifact: leave the list empty
-  }
-  const auto fail = [&](const char* what) {
-    if (error != nullptr) {
-      *error = std::string("anatomy: ") + what;
+bool ReadAnatomyEpisode(obs::JsonCursor& in, obs::AnatomyEpisode* ep) {
+  static constexpr const char* kFields[] = {"latency_ms",   "window_begin", "window_end",
+                                            "truncated",    "stage_cycles", "stage_blame",
+                                            "culprit"};
+  return ReadFields(in, kFields, 0x77, "anatomy episode", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return ReadHexDouble(in, "latency_ms", &ep->latency_ms);
+      case 1:
+        return ReadU64(in, "window_begin", &ep->window_begin);
+      case 2:
+        return ReadU64(in, "window_end", &ep->window_end);
+      case 3:
+        return in.ReadBool(&ep->truncated);
+      case 4:
+        return ReadFixedArray(in, obs::kAnatomyStageCount, "stage_cycles", [&](std::size_t s) {
+          return ReadU64(in, "stage cycle", &ep->stage_cycles[s]);
+        });
+      case 5:
+        return ReadFixedArray(in, obs::kAnatomyStageCount, "stage_blame", [&](std::size_t s) {
+          return ReadBlame(in, &ep->stage_blame[s]);
+        });
+      default:
+        return ReadBlame(in, &ep->culprit);
     }
-    return false;
-  };
-  if (!entries->is_array()) {
-    return fail("not an array");
-  }
-  for (const obs::JsonValue& entry : entries->items()) {
-    if (!entry.is_object()) {
-      return fail("episode entries must be objects");
+  });
+}
+
+bool ReadEpisode(obs::JsonCursor& in, obs::EpisodeSummary* ep) {
+  static constexpr const char* kFields[] = {
+      "latency_ms",   "reported_at_ms", "true_module",   "true_function", "true_ms",
+      "cause_module", "cause_function", "cause_samples", "attributed",    "module_match"};
+  return ReadFields(in, kFields, 0xff, "episode", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return ReadHexDouble(in, "latency_ms", &ep->latency_ms);
+      case 1:
+        return ReadHexDouble(in, "reported_at_ms", &ep->reported_at_ms);
+      case 2:
+        return in.ReadString(&ep->true_module);
+      case 3:
+        return in.ReadString(&ep->true_function);
+      case 4:
+        return ReadHexDouble(in, "true_ms", &ep->true_ms);
+      case 5:
+        return in.ReadString(&ep->cause_module);
+      case 6:
+        return in.ReadString(&ep->cause_function);
+      case 7:
+        return ReadU64(in, "cause_samples", &ep->cause_samples);
+      case 8:
+        return in.ReadBool(&ep->attributed);
+      default:
+        return in.ReadBool(&ep->module_match);
     }
-    obs::AnatomyEpisode ep;
-    if (!ReadHexDoubleField(entry, "latency_ms", &ep.latency_ms, error) ||
-        !ReadU64Field(entry, "window_begin", &ep.window_begin, error) ||
-        !ReadU64Field(entry, "window_end", &ep.window_end, error)) {
-      return false;
+  });
+}
+
+bool ReadUsage(obs::JsonCursor& in, stats::UsageModel* usage) {
+  static constexpr const char* kFields[] = {"category", "compression", "day_hours",
+                                            "week_hours"};
+  return ReadFields(in, kFields, 0xf, "usage", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return in.ReadString(&usage->category);
+      case 1:
+        return ReadHexDouble(in, "compression", &usage->compression);
+      case 2:
+        return ReadHexDouble(in, "day_hours", &usage->day_hours);
+      default:
+        return ReadHexDouble(in, "week_hours", &usage->week_hours);
     }
-    ep.truncated = entry.BoolOr("truncated", false);
-    const obs::JsonValue* cycles = entry.Find("stage_cycles");
-    const obs::JsonValue* blames = entry.Find("stage_blame");
-    const obs::JsonValue* culprit = entry.Find("culprit");
-    if (cycles == nullptr || !cycles->is_array() ||
-        cycles->items().size() != obs::kAnatomyStageCount || blames == nullptr ||
-        !blames->is_array() || blames->items().size() != obs::kAnatomyStageCount ||
-        culprit == nullptr) {
-      return fail("episode needs stage_cycles/stage_blame arrays of 7 and a culprit");
-    }
-    for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      const obs::JsonValue& item = cycles->items()[s];
-      if (!item.is_string() || !ParseU64(item.as_string(), &ep.stage_cycles[s])) {
-        return fail("stage cycle is not a decimal u64");
-      }
-      if (!ReadBlame(blames->items()[s], &ep.stage_blame[s], error)) {
-        return false;
-      }
-    }
-    if (!ReadBlame(*culprit, &ep.culprit, error)) {
-      return false;
-    }
-    anatomy->push_back(std::move(ep));
-  }
-  return true;
+  });
+}
+
+// The report's histograms, in document and member order.
+constexpr const char* kHistogramNames[] = {"dpc_interrupt", "thread",     "thread_interrupt",
+                                           "interrupt",     "isr_to_dpc", "true_pit_interrupt_latency"};
+
+template <typename Report>
+auto HistogramsOf(Report& report) {
+  return std::array{&report.dpc_interrupt, &report.thread,     &report.thread_interrupt,
+                    &report.interrupt,     &report.isr_to_dpc, &report.true_pit_interrupt_latency};
 }
 
 }  // namespace
@@ -370,173 +524,219 @@ std::uint64_t Fnv1a64(std::string_view bytes) {
 }
 
 std::string HexDouble(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return buf;
+  char buf[32];
+  return std::string(buf, FormatHexDouble(value, buf));
 }
 
+// The inverse of FormatHexDouble over finite values, and nothing more: any
+// other spelling (decimal, uppercase, a '+' sign, whitespace, trailing
+// zeros, too many digits, an exponent out of range or with a leading zero)
+// is rejected rather than rounded.
 bool ParseHexDouble(std::string_view text, double* out) {
-  if (text.empty()) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::uint64_t sign = 0;
+  if (p != end && *p == '-') {
+    sign = std::uint64_t{1} << 63;
+    ++p;
+  }
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x' || (p[2] != '0' && p[2] != '1')) {
     return false;
   }
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
+  const bool normal = p[2] == '1';
+  p += 3;
+  std::uint64_t fraction = 0;
+  if (*p == '.') {
+    ++p;
+    int digits = 0;
+    int digit = 0;
+    while (p != end && digits < 13 && (digit = kLowerHexValue[static_cast<unsigned char>(*p)]) >= 0) {
+      fraction = fraction << 4 | static_cast<std::uint64_t>(digit);
+      ++digits;
+      ++p;
+    }
+    if (digits == 0 || (fraction & 0xf) == 0) {
+      return false;  // "0x1.p+0", or a trailing zero
+    }
+    fraction <<= 4 * (13 - digits);
+  }
+  if (end - p < 3 || p[0] != 'p' || (p[1] != '+' && p[1] != '-')) {
     return false;
   }
-  *out = value;
+  const bool negative_exponent = p[1] == '-';
+  p += 2;
+  if (end - p > 4 || (*p == '0' && end - p > 1)) {
+    return false;  // more than 4 digits, or a leading zero
+  }
+  int exponent = 0;
+  for (; p != end; ++p) {
+    if (*p < '0' || *p > '9') {
+      return false;
+    }
+    exponent = exponent * 10 + (*p - '0');
+  }
+  std::uint64_t bits = 0;
+  if (normal) {
+    if (negative_exponent ? (exponent == 0 || exponent > 1022) : exponent > 1023) {
+      return false;
+    }
+    const int biased = (negative_exponent ? -exponent : exponent) + 1023;
+    bits = static_cast<std::uint64_t>(biased) << 52 | fraction;
+  } else if (fraction == 0) {
+    if (negative_exponent || exponent != 0) {
+      return false;  // zero is only 0x0p+0
+    }
+  } else {
+    if (!negative_exponent || exponent != 1022) {
+      return false;  // subnormals are only 0x0.<fraction>p-1022
+    }
+    bits = fraction;
+  }
+  *out = std::bit_cast<double>(bits | sign);
   return true;
 }
 
 std::string ReportToJson(const LabReport& report) {
-  std::ostringstream out;
-  out << "{\"format\": \"" << kFormatName << "\", \"version\": " << kFormatVersion
-      << ",\n";
-  out << "\"os_name\": \"" << Escape(report.os_name) << "\", \"workload_name\": \""
-      << Escape(report.workload_name)
-      << "\", \"thread_priority\": " << report.thread_priority
-      << ", \"has_interrupt_latency\": " << (report.has_interrupt_latency ? "true" : "false")
-      << ",\n";
-  out << "\"samples\": \"" << U64String(report.samples) << "\", \"samples_per_hour\": \""
-      << HexDouble(report.samples_per_hour) << "\", \"fault_activations\": \""
-      << U64String(report.fault_activations) << "\",\n";
-  out << "\"usage\": {\"category\": \"" << Escape(report.usage.category)
-      << "\", \"compression\": \"" << HexDouble(report.usage.compression)
-      << "\", \"day_hours\": \"" << HexDouble(report.usage.day_hours)
-      << "\", \"week_hours\": \"" << HexDouble(report.usage.week_hours) << "\"},\n";
-  out << "\"histograms\": {\n";
-  WriteHistogram(out, "dpc_interrupt", report.dpc_interrupt);
-  out << ",\n";
-  WriteHistogram(out, "thread", report.thread);
-  out << ",\n";
-  WriteHistogram(out, "thread_interrupt", report.thread_interrupt);
-  out << ",\n";
-  WriteHistogram(out, "interrupt", report.interrupt);
-  out << ",\n";
-  WriteHistogram(out, "isr_to_dpc", report.isr_to_dpc);
-  out << ",\n";
-  WriteHistogram(out, "true_pit_interrupt_latency", report.true_pit_interrupt_latency);
-  out << "\n},\n";
-  out << "\"episodes\": [";
+  std::string out;
+  out += "{\"format\": \"";
+  out += kFormatName;
+  out += "\", \"version\": ";
+  AppendInt(out, kFormatVersion);
+  out += ",\n\"os_name\": \"";
+  AppendEscaped(out, report.os_name);
+  out += "\", \"workload_name\": \"";
+  AppendEscaped(out, report.workload_name);
+  out += "\", \"thread_priority\": ";
+  AppendInt(out, report.thread_priority);
+  out += ", \"has_interrupt_latency\": ";
+  AppendBool(out, report.has_interrupt_latency);
+  out += ",\n\"samples\": \"";
+  AppendU64(out, report.samples);
+  out += "\", \"samples_per_hour\": \"";
+  AppendHexDouble(out, report.samples_per_hour);
+  out += "\", \"fault_activations\": \"";
+  AppendU64(out, report.fault_activations);
+  out += "\",\n\"usage\": {\"category\": \"";
+  AppendEscaped(out, report.usage.category);
+  out += "\", \"compression\": \"";
+  AppendHexDouble(out, report.usage.compression);
+  out += "\", \"day_hours\": \"";
+  AppendHexDouble(out, report.usage.day_hours);
+  out += "\", \"week_hours\": \"";
+  AppendHexDouble(out, report.usage.week_hours);
+  out += "\"},\n\"histograms\": {\n";
+  const auto histograms = HistogramsOf(report);
+  for (std::size_t h = 0; h < histograms.size(); ++h) {
+    if (h != 0) out += ",\n";
+    AppendHistogram(out, kHistogramNames[h], histograms[h]->ExportState());
+  }
+  out += "\n},\n\"episodes\": [";
   for (std::size_t i = 0; i < report.episodes.size(); ++i) {
     const obs::EpisodeSummary& ep = report.episodes[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "{\"latency_ms\": \"" << HexDouble(ep.latency_ms) << "\", \"reported_at_ms\": \""
-        << HexDouble(ep.reported_at_ms) << "\", \"true_module\": \""
-        << Escape(ep.true_module) << "\", \"true_function\": \""
-        << Escape(ep.true_function) << "\", \"true_ms\": \"" << HexDouble(ep.true_ms)
-        << "\", \"cause_module\": \"" << Escape(ep.cause_module)
-        << "\", \"cause_function\": \"" << Escape(ep.cause_function)
-        << "\", \"cause_samples\": \"" << U64String(ep.cause_samples)
-        << "\", \"attributed\": " << (ep.attributed ? "true" : "false")
-        << ", \"module_match\": " << (ep.module_match ? "true" : "false") << "}";
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"latency_ms\": \"";
+    AppendHexDouble(out, ep.latency_ms);
+    out += "\", \"reported_at_ms\": \"";
+    AppendHexDouble(out, ep.reported_at_ms);
+    out += "\", \"true_module\": \"";
+    AppendEscaped(out, ep.true_module);
+    out += "\", \"true_function\": \"";
+    AppendEscaped(out, ep.true_function);
+    out += "\", \"true_ms\": \"";
+    AppendHexDouble(out, ep.true_ms);
+    out += "\", \"cause_module\": \"";
+    AppendEscaped(out, ep.cause_module);
+    out += "\", \"cause_function\": \"";
+    AppendEscaped(out, ep.cause_function);
+    out += "\", \"cause_samples\": \"";
+    AppendU64(out, ep.cause_samples);
+    out += "\", \"attributed\": ";
+    AppendBool(out, ep.attributed);
+    out += ", \"module_match\": ";
+    AppendBool(out, ep.module_match);
+    out += '}';
   }
-  out << "],\n";
-  WriteAnatomy(out, report.anatomy);
-  out << ",\n";
-  WriteSketch(out, "thread_sketch", report.thread_sketch);
-  out << "}\n";
-  return out.str();
+  out += "],\n";
+  AppendAnatomy(out, report.anatomy);
+  out += ",\n";
+  AppendSketch(out, "thread_sketch", report.thread_sketch.ExportState());
+  out += "}\n";
+  return out;
 }
 
 bool ReportFromJson(std::string_view text, LabReport* report, std::string* error) {
   *report = LabReport{};
-  const obs::JsonParseResult parsed = obs::ParseJson(text);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      std::ostringstream message;
-      message << "JSON error at line " << parsed.error_line << ", column "
-              << parsed.error_column << ": " << parsed.error;
-      *error = message.str();
-    }
-    return false;
-  }
-  const obs::JsonValue& root = parsed.value;
-  if (!root.is_object() || root.StringOr("format", "") != kFormatName) {
-    if (error != nullptr) {
-      *error = "not a wdmlat-cell-report document";
-    }
-    return false;
-  }
-  if (static_cast<int>(root.NumberOr("version", 0.0)) != kFormatVersion) {
-    if (error != nullptr) {
-      *error = "unsupported cell-report version";
-    }
-    return false;
-  }
+  static constexpr const char* kFields[] = {
+      "format",      "version",          "os_name",           "workload_name",
+      "thread_priority", "has_interrupt_latency", "samples",  "samples_per_hour",
+      "fault_activations", "usage",          "histograms",        "episodes",
+      "anatomy",     "thread_sketch"};
+  // Everything but thread_priority, has_interrupt_latency, anatomy and
+  // thread_sketch, which older artifacts may lack.
+  constexpr unsigned kRequired = 0x0fcf;
   LabReport result;
-  if (!ReadStringField(root, "os_name", &result.os_name, error) ||
-      !ReadStringField(root, "workload_name", &result.workload_name, error)) {
-    return false;
-  }
-  result.thread_priority = static_cast<int>(root.NumberOr("thread_priority", 0.0));
-  result.has_interrupt_latency = root.BoolOr("has_interrupt_latency", false);
-  if (!ReadU64Field(root, "samples", &result.samples, error) ||
-      !ReadHexDoubleField(root, "samples_per_hour", &result.samples_per_hour, error) ||
-      !ReadU64Field(root, "fault_activations", &result.fault_activations, error)) {
-    return false;
-  }
-  const obs::JsonValue* usage = root.Find("usage");
-  if (usage == nullptr || !usage->is_object()) {
+  obs::JsonCursor in(text);
+  const bool read =
+      ReadFields(in, kFields, kRequired, "cell report", [&](std::size_t field) {
+        switch (field) {
+          case 0: {
+            std::string_view format;
+            return in.ReadString(&format) &&
+                   (format == kFormatName || in.Fail("not a wdmlat-cell-report document"));
+          }
+          case 1: {
+            double version = 0.0;
+            return in.ReadNumber(&version) &&
+                   (version == kFormatVersion || in.Fail("unsupported cell-report version"));
+          }
+          case 2:
+            return in.ReadString(&result.os_name);
+          case 3:
+            return in.ReadString(&result.workload_name);
+          case 4: {
+            std::uint64_t priority = 0;
+            const bool ok = ReadIndex(in, "thread_priority", 256.0, &priority);
+            result.thread_priority = static_cast<int>(priority);
+            return ok;
+          }
+          case 5:
+            return in.ReadBool(&result.has_interrupt_latency);
+          case 6:
+            return ReadU64(in, "samples", &result.samples);
+          case 7:
+            return ReadHexDouble(in, "samples_per_hour", &result.samples_per_hour);
+          case 8:
+            return ReadU64(in, "fault_activations", &result.fault_activations);
+          case 9:
+            return ReadUsage(in, &result.usage);
+          case 10: {
+            const auto histograms = HistogramsOf(result);
+            return ReadFields(in, kHistogramNames, 0x3f, "histograms", [&](std::size_t h) {
+              return ReadHistogram(in, kHistogramNames[h], histograms[h]);
+            });
+          }
+          case 11:
+            return ReadArray(in, [&] {
+              result.episodes.emplace_back();
+              return ReadEpisode(in, &result.episodes.back());
+            });
+          case 12:
+            return ReadArray(in, [&] {
+              result.anatomy.emplace_back();
+              return ReadAnatomyEpisode(in, &result.anatomy.back());
+            });
+          default:
+            return ReadSketch(in, "thread_sketch", &result.thread_sketch);
+        }
+      });
+  if (!read || !in.Finish()) {
     if (error != nullptr) {
-      *error = "missing usage object";
+      std::size_t line = 0;
+      std::size_t column = 0;
+      in.ErrorLineColumn(&line, &column);
+      *error = "cell report error at line " + std::to_string(line) + ", column " +
+               std::to_string(column) + ": " + in.error();
     }
-    return false;
-  }
-  if (!ReadStringField(*usage, "category", &result.usage.category, error) ||
-      !ReadHexDoubleField(*usage, "compression", &result.usage.compression, error) ||
-      !ReadHexDoubleField(*usage, "day_hours", &result.usage.day_hours, error) ||
-      !ReadHexDoubleField(*usage, "week_hours", &result.usage.week_hours, error)) {
-    return false;
-  }
-  const obs::JsonValue* histograms = root.Find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    if (error != nullptr) {
-      *error = "missing histograms object";
-    }
-    return false;
-  }
-  if (!ReadHistogram(*histograms, "dpc_interrupt", &result.dpc_interrupt, error) ||
-      !ReadHistogram(*histograms, "thread", &result.thread, error) ||
-      !ReadHistogram(*histograms, "thread_interrupt", &result.thread_interrupt, error) ||
-      !ReadHistogram(*histograms, "interrupt", &result.interrupt, error) ||
-      !ReadHistogram(*histograms, "isr_to_dpc", &result.isr_to_dpc, error) ||
-      !ReadHistogram(*histograms, "true_pit_interrupt_latency",
-                     &result.true_pit_interrupt_latency, error)) {
-    return false;
-  }
-  const obs::JsonValue* episodes = root.Find("episodes");
-  if (episodes == nullptr || !episodes->is_array()) {
-    if (error != nullptr) {
-      *error = "missing episodes array";
-    }
-    return false;
-  }
-  for (const obs::JsonValue& entry : episodes->items()) {
-    if (!entry.is_object()) {
-      if (error != nullptr) {
-        *error = "episode entries must be objects";
-      }
-      return false;
-    }
-    obs::EpisodeSummary ep;
-    if (!ReadHexDoubleField(entry, "latency_ms", &ep.latency_ms, error) ||
-        !ReadHexDoubleField(entry, "reported_at_ms", &ep.reported_at_ms, error) ||
-        !ReadStringField(entry, "true_module", &ep.true_module, error) ||
-        !ReadStringField(entry, "true_function", &ep.true_function, error) ||
-        !ReadHexDoubleField(entry, "true_ms", &ep.true_ms, error) ||
-        !ReadStringField(entry, "cause_module", &ep.cause_module, error) ||
-        !ReadStringField(entry, "cause_function", &ep.cause_function, error) ||
-        !ReadU64Field(entry, "cause_samples", &ep.cause_samples, error)) {
-      return false;
-    }
-    ep.attributed = entry.BoolOr("attributed", false);
-    ep.module_match = entry.BoolOr("module_match", false);
-    result.episodes.push_back(std::move(ep));
-  }
-  if (!ReadAnatomy(root, &result.anatomy, error) ||
-      !ReadSketch(root, "thread_sketch", &result.thread_sketch, error)) {
     return false;
   }
   *report = std::move(result);
