@@ -23,8 +23,11 @@
 // default ratio of 3.0 tolerates shared-CI noise while still catching
 // order-of-magnitude regressions like an accidental allocation on the
 // schedule path.
+//
+// Both inputs are read through obs::ParseJson, the repo's one strict JSON
+// grammar: a duplicate key, an overflowing number or a syntax error fails
+// with its line and column instead of being half-read.
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -35,216 +38,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON reader (src/obs/json.h is a writer/linter
-// only). Supports the full value grammar we consume; numbers become doubles.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> Parse() {
-    JsonValue value;
-    SkipWs();
-    if (!ParseValue(&value)) {
-      return std::nullopt;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return std::nullopt;  // trailing garbage
-    }
-    return value;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool ConsumeLiteral(const char* literal) {
-    const std::size_t n = std::string(literal).size();
-    if (text_.compare(pos_, n, literal) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string);
-      case 't':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = true;
-        return ConsumeLiteral("true");
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = false;
-        return ConsumeLiteral("false");
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return ConsumeLiteral("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    Consume('{');
-    SkipWs();
-    if (Consume('}')) {
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (!Consume(':')) {
-        return false;
-      }
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (Consume(',')) {
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    Consume('[');
-    SkipWs();
-    if (Consume(']')) {
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->array.push_back(std::move(value));
-      SkipWs();
-      if (Consume(',')) {
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          // Benchmark names are ASCII; keep \u simple by emitting '?' for
-          // anything outside Latin-1 rather than implementing UTF-16 pairs.
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          const unsigned long code = std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          out->push_back(code < 256 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
+using wdmlat::obs::JsonValue;
 
 struct BenchEntry {
   std::string name;
@@ -267,17 +65,22 @@ std::optional<std::string> ReadFile(const std::string& path) {
   return buf.str();
 }
 
+// The document at `path`, read through the repo's one strict JSON grammar
+// (duplicate keys and overflowing numbers rejected), or nullopt with the
+// error's position printed.
 std::optional<JsonValue> ParseFile(const std::string& path) {
   const auto text = ReadFile(path);
   if (!text) {
     std::cerr << "bench_to_json: cannot read " << path << "\n";
     return std::nullopt;
   }
-  auto value = JsonReader(*text).Parse();
-  if (!value) {
-    std::cerr << "bench_to_json: " << path << " is not valid JSON\n";
+  wdmlat::obs::JsonParseResult parsed = wdmlat::obs::ParseJson(*text);
+  if (!parsed.valid) {
+    std::cerr << "bench_to_json: " << path << ":" << parsed.error_line << ":"
+              << parsed.error_column << ": not valid JSON: " << parsed.error << "\n";
+    return std::nullopt;
   }
-  return value;
+  return std::move(parsed.value);
 }
 
 double ToNs(double value, const std::string& unit) {
@@ -292,14 +95,14 @@ double ToNs(double value, const std::string& unit) {
 // json output, skipping aggregate rows (mean/median/stddev) if present.
 std::optional<std::vector<BenchEntry>> ExtractFromGoogleBenchmark(const JsonValue& root) {
   const JsonValue* benchmarks = root.Find("benchmarks");
-  if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::kArray) {
+  if (benchmarks == nullptr || !benchmarks->is_array()) {
     std::cerr << "bench_to_json: no benchmarks array (is this google-benchmark output?)\n";
     return std::nullopt;
   }
   std::vector<BenchEntry> entries;
-  for (const JsonValue& row : benchmarks->array) {
+  for (const JsonValue& row : benchmarks->items()) {
     const JsonValue* run_type = row.Find("run_type");
-    if (run_type != nullptr && run_type->string != "iteration") {
+    if (run_type != nullptr && run_type->as_string() != "iteration") {
       continue;
     }
     const JsonValue* name = row.Find("name");
@@ -311,10 +114,10 @@ std::optional<std::vector<BenchEntry>> ExtractFromGoogleBenchmark(const JsonValu
       return std::nullopt;
     }
     const JsonValue* unit = row.Find("time_unit");
-    const std::string time_unit = unit != nullptr ? unit->string : "ns";
-    entries.push_back(BenchEntry{name->string, ToNs(real_time->number, time_unit),
-                                 ToNs(cpu_time->number, time_unit),
-                                 iterations != nullptr ? iterations->number : 0.0});
+    const std::string time_unit = unit != nullptr ? unit->as_string() : "ns";
+    entries.push_back(BenchEntry{name->as_string(), ToNs(real_time->as_number(), time_unit),
+                                 ToNs(cpu_time->as_number(), time_unit),
+                                 iterations != nullptr ? iterations->as_number() : 0.0});
   }
   return entries;
 }
@@ -326,17 +129,17 @@ std::optional<std::vector<BenchEntry>> ExtractFromRepoSchema(const std::string& 
     return std::nullopt;
   }
   const JsonValue* schema = root->Find("schema");
-  if (schema == nullptr || schema->string != "wdmlat-bench-v1") {
+  if (schema == nullptr || schema->as_string() != "wdmlat-bench-v1") {
     std::cerr << "bench_to_json: " << path << " is not wdmlat-bench-v1\n";
     return std::nullopt;
   }
   const JsonValue* benchmarks = root->Find("benchmarks");
-  if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::kArray) {
+  if (benchmarks == nullptr || !benchmarks->is_array()) {
     std::cerr << "bench_to_json: " << path << " has no benchmarks array\n";
     return std::nullopt;
   }
   std::vector<BenchEntry> entries;
-  for (const JsonValue& row : benchmarks->array) {
+  for (const JsonValue& row : benchmarks->items()) {
     const JsonValue* name = row.Find("name");
     const JsonValue* real_ns = row.Find("real_ns");
     const JsonValue* cpu_ns = row.Find("cpu_ns");
@@ -346,9 +149,9 @@ std::optional<std::vector<BenchEntry>> ExtractFromRepoSchema(const std::string& 
       return std::nullopt;
     }
     const JsonValue* row_ratio = row.Find("max_ratio");
-    entries.push_back(BenchEntry{name->string, real_ns->number, cpu_ns->number,
-                                 iterations != nullptr ? iterations->number : 0.0,
-                                 row_ratio != nullptr ? row_ratio->number : 0.0});
+    entries.push_back(BenchEntry{name->as_string(), real_ns->as_number(), cpu_ns->as_number(),
+                                 iterations != nullptr ? iterations->as_number() : 0.0,
+                                 row_ratio != nullptr ? row_ratio->as_number() : 0.0});
   }
   return entries;
 }

@@ -7,6 +7,11 @@
 #   * re-running the same command restores every cell from the shard
 #     record files (0 executed) and re-merges to a byte-identical report —
 #     the merge is a pure fold over the artifacts
+#   * re-running an edited spec (same seeds, longer cells) into the same
+#     directory restores nothing: every record carries the old spec's
+#     fingerprint, so every cell re-runs and fleet.json matches a fresh run
+#   * the paper-grid spec (examples/paper_grid.json) runs audited at
+#     screening length and merges its 16 os x workload x priority cohorts
 #   * the CLI contract holds: --shard without --fleet is a usage error
 #
 # Registered as the `fleet_smoke` ctest; also runnable standalone from the
@@ -118,6 +123,36 @@ second_sum="$(cksum < "${OUT}/run/fleet.json")"
 [[ "${first_sum}" == "${second_sum}" ]] \
   || { echo "fleet_smoke: re-merged fleet.json differs from the first run" >&2
        exit 1; }
+
+# Stale-spec resume: the same population with longer cells keeps every cell
+# seed but not the spec fingerprint, so every record in the directory is
+# stale. Re-run into the same directory, each shard must restore nothing and
+# re-execute all its cells, and fleet.json must match a fresh run of the
+# edited spec byte for byte.
+sed 's/"stress_minutes": 0.0002/"stress_minutes": 0.0006/' "${OUT}/population.json" \
+  > "${OUT}/longer.json"
+LONGER=(--fleet "${OUT}/longer.json" --shards 3 --jobs 2)
+"${RUN}" "${LONGER[@]}" --fleet-out "${OUT}/run" > "${OUT}/stale.log" 2> "${OUT}/stale.err"
+[[ "$(grep -c '(0 restored, [0-9]* executed)' "${OUT}/stale.log")" -eq 3 ]] \
+  || { echo "fleet_smoke: stale records were restored under an edited spec" >&2; exit 1; }
+grep -q 'record written under another spec' "${OUT}/stale.err" \
+  || { echo "fleet_smoke: no stale-record warning under an edited spec" >&2; exit 1; }
+"${RUN}" "${LONGER[@]}" --fleet-out "${OUT}/fresh" > "${OUT}/fresh.log"
+cmp -s "${OUT}/run/fleet.json" "${OUT}/fresh/fleet.json" \
+  || { echo "fleet_smoke: stale-spec re-run differs from a fresh run" >&2; exit 1; }
+[[ "$(cksum < "${OUT}/run/fleet.json")" != "${first_sum}" ]] \
+  || { echo "fleet_smoke: edited spec reproduced the old fleet.json" >&2; exit 1; }
+
+# The durable paper-grid recipe (examples/paper_grid.json; EXPERIMENTS.md
+# "Supervised runs"), cut to screening-length cells: one cohort per
+# os x workload x priority, 16 in all, with the invariant auditor forwarded
+# to every worker.
+sed 's/"stress_minutes": 10.0, "warmup_seconds": 5.0/"stress_minutes": 0.0005, "warmup_seconds": 0.05/' \
+  examples/paper_grid.json > "${OUT}/grid.json"
+"${RUN}" --fleet "${OUT}/grid.json" --shards 4 --jobs 2 --audit-every-s 0.01 \
+  --fleet-out "${OUT}/grid" > "${OUT}/grid.log"
+[[ "$(grep -c '^  \(nt4\|98\)-[a-z]*-\(28\|24\) ' "${OUT}/grid.log")" -eq 16 ]] \
+  || { echo "fleet_smoke: the paper-grid spec should merge 16 cohorts" >&2; exit 1; }
 
 # CLI contract: --shard is a worker flag and demands --fleet (usage error 2).
 status=0

@@ -7,11 +7,12 @@
 #     only when a second core is simulated)
 #   * metrics.json reports cross-core traffic: smp.ipis_delivered and the
 #     spinlock counters are present, and IPI conservation held (the
-#     run finishes; the armed auditor would have failed the cell otherwise)
+#     run finishes; the auditor, armed every virtual second, would have
+#     failed the cell otherwise)
 #   * the same cell re-run gives byte-identical trace + metrics artifacts
 #     (SMP determinism at the artifact level)
-#   * a supervised NT-UP vs NT-SMP matrix (--matrix --cores 2, auditor
-#     armed every virtual second) completes with zero failed cells
+#   * an audited NT-UP vs NT-SMP matrix (--matrix --cores 2, auditor
+#     armed every virtual second) completes; a violation would exit 3
 #   * the CLI contract holds: --cores on a non-NT cell, --dpc-affinity
 #     without an SMP cell, and out-of-range --cores are usage errors
 #     (exit 2), never runs
@@ -39,7 +40,7 @@ trap 'rm -rf "${OUT}"' EXIT
 # One 2-core cell, migrating DPCs (the policy with the most cross-core
 # traffic), every sink attached.
 "${RUN}" --os nt4 --cores 2 --dpc-affinity migrating --workload games \
-  --minutes 0.1 --seed 1999 \
+  --minutes 0.1 --seed 1999 --audit-every-s 1 \
   --trace-out "${OUT}/trace.json" \
   --metrics-out "${OUT}/metrics.json" > "${OUT}/run.log"
 
@@ -61,7 +62,7 @@ done
 
 # Artifact-level determinism: the identical cell again, byte-identical sinks.
 "${RUN}" --os nt4 --cores 2 --dpc-affinity migrating --workload games \
-  --minutes 0.1 --seed 1999 \
+  --minutes 0.1 --seed 1999 --audit-every-s 1 \
   --trace-out "${OUT}/trace2.json" \
   --metrics-out "${OUT}/metrics2.json" > "${OUT}/run2.log"
 cmp -s "${OUT}/trace.json" "${OUT}/trace2.json" \

@@ -80,9 +80,9 @@ for flag in --os --workload --priority --minutes --seed --scanner --sounds \
             --trace-out --metrics-out --metrics-csv --queue-sample-ms \
             --episode-threshold-us --anatomy-out --sketch \
             --faults --differential --diff-out --diff-csv \
-            --matrix --jobs --trials \
-            --journal --resume --cell-timeout-ms --cell-retries \
-            --audit-every-s --max-cells --audit-fail-cell --throw-cell --help; do
+            --audit-every-s --matrix --jobs --trials \
+            --fleet --shards --shard --fleet-out --cell-timeout-ms --cell-retries \
+            --help; do
   grep -q -- "${flag}" "${OUT}/help.txt" \
     || { echo "trace_smoke: --help is missing ${flag}" >&2; exit 1; }
 done

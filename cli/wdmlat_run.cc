@@ -1,90 +1,22 @@
 // wdmlat_run — command-line front end for the latency laboratory.
 //
-// Runs one experiment cell (OS personality × workload × measured thread
-// priority × virtual duration), prints a summary, and optionally renders the
-// Figure-4 style plot and/or exports CSVs for external plotting.
+// Four modes, one function each below:
+//   - a single experiment cell (OS personality x workload x measured thread
+//     priority x virtual duration), optionally plotted or exported as CSV,
+//     or run twice as a baseline-vs-fault-plan differential;
+//   - --matrix: the paper's {NT,98} x {4 loads} x {prio 28,24} grid, in
+//     process on a thread pool, merged bit-identically for any --jobs;
+//   - --fleet: a population spec sharded across supervised worker
+//     processes (--shard is the worker side), resumable from its shard
+//     record files and stream-merged into <dir>/fleet.json. This is the
+//     durable path: a grid that must survive crashes runs as a fleet.
 //
 //   wdmlat_run --os=win98 --workload=games --priority=28 --minutes=10
-//   wdmlat_run --os=nt4 --workload=web --priority=24 --plot
-//   wdmlat_run --os=win98 --workload=office --csv-dir=out/ --scanner
 //   wdmlat_run --matrix --jobs=4 --trials=2 --minutes=5
+//   wdmlat_run --fleet=paper_grid.json --shards=4 --fleet-out=out/
 //
-// Flags:
-//   --os=nt4|win98|w2kbeta     OS personality             (default win98)
-//   --workload=office|workstation|games|web|idle          (default games)
-//   --priority=<16..31>        measured RT thread priority (default 28)
-//   --minutes=<float>          virtual measurement minutes (default 10)
-//   --seed=<uint>              RNG seed                    (default 1999)
-//   --scanner                  enable the Plus!98 virus scanner (98 only)
-//   --sounds                   enable the default sound scheme  (98 only)
-//   --plot                     render the log-log distribution panel
-//   --csv-dir=<dir>            export distributions as CSV
-//   --worst-cases              print hourly/daily/weekly expected worst cases
-//
-// Observability (see EXPERIMENTS.md "Tracing & metrics"):
-//   --trace-out=<file>         write a Chrome trace-event JSON (Perfetto /
-//                              chrome://tracing); in matrix mode the sim
-//                              tracks show the first cell, the host tracks
-//                              show every cell on its pool worker
-//   --metrics-out=<file>       write the run's MetricsRegistry as JSON
-//   --metrics-csv=<file>       same registry as kind,name,field,value CSV
-//   --queue-sample-ms=<float>  queue-depth sampling period (default 1.0,
-//                              active only with --metrics-out/--trace-out)
-//   --episode-threshold-us=<float>
-//                              arm the episode flight recorder + cause tool
-//                              at this thread latency; prints the
-//                              attribution-accuracy report after the run
-//   --anatomy-out=<file>       attach the causal LatencyAnatomy sink and write
-//                              exact per-episode stage decompositions as JSON
-//                              (matrix mode: per-group stage totals); requires
-//                              --episode-threshold-us
-//   --sketch                   stream thread latencies through the mergeable
-//                              QuantileSketch; prints exact-tail quantiles
-//
-// Fault injection (see EXPERIMENTS.md "Fault plans"):
-//   --faults=NAME|FILE         drive a fault plan alongside the workload: a
-//                              built-in plan (virus_scan, irq_storm,
-//                              masked_window) or a JSON plan file
-//   --differential             run the cell twice from the same seed —
-//                              baseline without the plan, perturbed with it —
-//                              and print per-quantile / tail / worst-case
-//                              deltas and the KS statistic (single-cell only)
-//   --diff-out=FILE            write the differential report as JSON
-//                              (top-level keys: plan, baseline, perturbed,
-//                              shifts)
-//   --diff-csv=FILE            write the differential report as CSV
-//
-// Matrix mode (parallel experiment grid; see EXPERIMENTS.md):
-//   --matrix                   run the paper's full {NT,98} x {4 loads} x
-//                              {prio 28,24} grid instead of a single cell;
-//                              --seed is the master seed, per-cell seeds are
-//                              SplitMix64-derived from the grid coordinates
-//   --jobs=<N>                 worker threads (default: hardware cores);
-//                              merged results are bit-identical for any N
-//   --trials=<N>               independent seeds per cell, histograms merged
-//                              (default 1)
-//
-// Supervised runs (imply --matrix; see EXPERIMENTS.md "Supervised runs"):
-//   --journal=FILE             checkpoint each finished cell to this JSONL
-//                              journal (artifacts under FILE.cells/)
-//   --resume=FILE              resume an interrupted run from its journal:
-//                              verified completed cells are restored
-//                              bit-exactly, missing/failed cells re-run, and
-//                              the merged result is bit-identical to a fresh
-//                              run (pass the same grid flags and --seed)
-//   --cell-timeout-ms=<F>      host-clock deadline budget per cell attempt
-//   --cell-retries=<N>         attempts for host-transient failures (def. 3)
-//   --audit-every-s=<F>        run the kernel invariant auditor every F
-//                              virtual seconds inside each cell
-//   --max-cells=<N>            stop after N cells this run (exit 4; resume
-//                              later with --resume)
-//   --audit-fail-cell=<N> / --throw-cell=<N>
-//                              CI fixtures: inject an invariant violation /
-//                              an exception into cell N (exit 3, the other
-//                              cells still complete)
-//
-// Exit codes: 0 success, 2 usage/config error, 3 failed cells,
-// 4 interrupted (--max-cells hit; journal is resumable).
+// `wdmlat_run --help` prints every flag (kHelpText below is the one list).
+// Exit codes: 0 success, 2 usage/config error, 3 failed cells.
 
 #include <sys/stat.h>
 
@@ -93,8 +25,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/fault/fault.h"
 #include "src/fault/plan_json.h"
@@ -115,7 +53,6 @@
 #include "src/runtime/supervisor.h"
 #include "src/runtime/thread_pool.h"
 #include "src/stats/usage_model.h"
-#include "src/workload/stress_profile.h"
 
 namespace {
 
@@ -143,6 +80,10 @@ constexpr const char kHelpText[] =
     "  --dpc-affinity=pinned|migrating\n"
     "                             SMP DPC routing (default pinned; migrating also\n"
     "                             round-robins IRQs and enables work stealing)\n"
+    "  --audit-every-s=F          run the kernel invariant auditor every F virtual\n"
+    "                             seconds inside every cell, in every mode; a\n"
+    "                             violation fails the run (exit 3), or in a fleet\n"
+    "                             the cell ([invariant_violation])\n"
     "\n"
     "Output:\n"
     "  --plot                     render the log-log distribution panel\n"
@@ -171,28 +112,20 @@ constexpr const char kHelpText[] =
     "  --diff-out=FILE            write the differential report as JSON\n"
     "  --diff-csv=FILE            write the differential report as CSV\n"
     "\n"
-    "Matrix mode (parallel experiment grid):\n"
+    "Matrix mode (parallel experiment grid, in process):\n"
     "  --matrix                   run the full {NT,98} x {4 loads} x {prio 28,24}\n"
     "                             grid; merged results are bit-identical for any\n"
     "                             --jobs value\n"
     "  --jobs=N                   worker threads (default: hardware cores)\n"
     "  --trials=N                 independent seeds per cell (default 1)\n"
     "\n"
-    "Supervised runs (imply --matrix; EXPERIMENTS.md \"Supervised runs\"):\n"
-    "  --journal=FILE             checkpoint finished cells to a JSONL journal\n"
-    "  --resume=FILE              resume an interrupted run from its journal\n"
-    "  --cell-timeout-ms=F        host-clock deadline budget per cell attempt\n"
-    "  --cell-retries=N           attempts for host-transient failures (default 3)\n"
-    "  --audit-every-s=F          run the invariant auditor every F virtual secs\n"
-    "  --max-cells=N              stop after N cells (exit 4; resumable)\n"
-    "  --audit-fail-cell=N        CI fixture: inject an invariant violation\n"
-    "  --throw-cell=N             CI fixture: inject an exception into cell N\n"
-    "\n"
-    "Fleet mode (population scale; EXPERIMENTS.md \"Fleet recipe\"):\n"
+    "Fleet mode (population scale and durable grids; EXPERIMENTS.md \"Fleet\n"
+    "recipe\" and \"Supervised runs\"):\n"
     "  --fleet=FILE               run a population spec (JSON): shard across\n"
     "                             worker processes, stream-merge, write\n"
     "                             <dir>/fleet.json; re-running resumes from the\n"
-    "                             shard record files for free\n"
+    "                             shard record files, re-running only cells whose\n"
+    "                             records are missing, damaged or from another spec\n"
     "  --shards=N                 worker processes to split the population over\n"
     "                             (default 1); merged report is bit-identical\n"
     "                             for any value\n"
@@ -200,6 +133,9 @@ constexpr const char kHelpText[] =
     "                             shard record file (spawned by the orchestrator;\n"
     "                             --jobs threads within the shard)\n"
     "  --fleet-out=DIR            fleet artifact directory (default fleet_out)\n"
+    "  --cell-timeout-ms=F        host-clock deadline budget per cell attempt\n"
+    "  --cell-retries=N           attempts for host-transient cell failures\n"
+    "                             (default 3)\n"
     "  --shard-timeout-s=F        supervisor liveness deadline: SIGKILL and retry\n"
     "                             a worker whose shard file stops growing for F\n"
     "                             host seconds (0 = off; classified host_transient)\n"
@@ -225,8 +161,7 @@ constexpr const char kHelpText[] =
     "\n"
     "  --help, -h                 print this flag table and exit 0\n"
     "\n"
-    "Exit codes: 0 success, 2 usage/config error, 3 failed cells,\n"
-    "4 interrupted (--max-cells hit; journal is resumable).\n";
+    "Exit codes: 0 success, 2 usage/config error, 3 failed cells.\n";
 
 [[noreturn]] void Help() {
   std::fputs(kHelpText, stdout);
@@ -336,9 +271,8 @@ bool MatchValueFlag(int argc, char** argv, int* i, const char* name, std::string
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// Every flag's value; defaults as in kHelpText.
+struct Flags {
   std::string os_name = "win98";
   int cores = 0;              // 0 = profile default (uniprocessor)
   std::string dpc_affinity;   // "" = profile default (pinned)
@@ -348,12 +282,10 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1999;
   bool scanner = false;
   bool sounds = false;
+  double audit_every_s = 0.0;
   bool plot = false;
-  bool worst_cases = false;
-  bool matrix_mode = false;
-  int jobs = runtime::ThreadPool::HardwareThreads();
-  int trials = 1;
   std::string csv_dir;
+  bool worst_cases = false;
   std::string trace_out;
   std::string metrics_out;
   std::string metrics_csv;
@@ -361,883 +293,474 @@ int main(int argc, char** argv) {
   double episode_threshold_us = 0.0;
   std::string anatomy_out;
   bool sketch = false;
-  std::string faults_arg;
+  std::string faults;
   bool differential = false;
   std::string diff_out;
   std::string diff_csv;
-  std::string journal_path;
-  std::string resume_path;
+  bool matrix = false;
+  int jobs = runtime::ThreadPool::HardwareThreads();
+  int trials = 1;
+  std::string fleet;
+  std::uint64_t shards = 1;
+  std::string shard;
+  std::string fleet_out = "fleet_out";
   double cell_timeout_ms = 0.0;
   int cell_retries = 3;
-  double audit_every_s = 0.0;
-  std::uint64_t max_cells = 0;
-  long audit_fail_cell = -1;
-  long throw_cell = -1;
-  std::string fleet_spec_path;
-  std::string shard_arg;
-  std::uint64_t shards = 1;
-  std::string fleet_out = "fleet_out";
   double shard_timeout_s = 0.0;
   int shard_retries = 3;
   bool speculate = false;
-  std::uint64_t chaos_seed = 0;
-  bool have_chaos_seed = false;
+  std::optional<std::uint64_t> chaos_seed;
   long poison_cell = -1;
   std::uint64_t cell_lo = 0;
   std::uint64_t cell_hi = 0;
-  std::string quarantine_file;
+  std::string quarantine;
   std::string shard_out;
   std::uint64_t chaos_kill_after_cells = 0;
   double chaos_delay_ms = 0.0;
 
+  bool want_metrics() const { return !metrics_out.empty() || !metrics_csv.empty(); }
+};
+
+// Store a flag's value into its field, parsed strictly for the field's type.
+void Assign(const char* flag, const std::string& value, std::string* out) {
+  *out = RequireValue(flag, value);
+}
+void Assign(const char* flag, const std::string& value, int* out) {
+  *out = static_cast<int>(ParseIntFlag(flag, value));
+}
+void Assign(const char* flag, const std::string& value, long* out) {
+  *out = ParseIntFlag(flag, value);
+}
+void Assign(const char* flag, const std::string& value, std::uint64_t* out) {
+  *out = ParseU64Flag(flag, value);
+}
+void Assign(const char* flag, const std::string& value, std::optional<std::uint64_t>* out) {
+  *out = ParseU64Flag(flag, value);
+}
+void Assign(const char* flag, const std::string& value, double* out) {
+  *out = ParseDoubleFlag(flag, value);
+}
+
+Flags ParseFlags(int argc, char** argv) {
+  Flags f;
+  using Field = std::variant<bool*, std::string*, int*, long*, std::uint64_t*,
+                             std::optional<std::uint64_t>*, double*>;
+  const std::pair<const char*, Field> fields[] = {
+      {"--os", &f.os_name},
+      {"--cores", &f.cores},
+      {"--dpc-affinity", &f.dpc_affinity},
+      {"--workload", &f.workload_name},
+      {"--priority", &f.priority},
+      {"--minutes", &f.minutes},
+      {"--seed", &f.seed},
+      {"--scanner", &f.scanner},
+      {"--sounds", &f.sounds},
+      {"--audit-every-s", &f.audit_every_s},
+      {"--plot", &f.plot},
+      {"--csv-dir", &f.csv_dir},
+      {"--worst-cases", &f.worst_cases},
+      {"--trace-out", &f.trace_out},
+      {"--metrics-out", &f.metrics_out},
+      {"--metrics-csv", &f.metrics_csv},
+      {"--queue-sample-ms", &f.queue_sample_ms},
+      {"--episode-threshold-us", &f.episode_threshold_us},
+      {"--anatomy-out", &f.anatomy_out},
+      {"--sketch", &f.sketch},
+      {"--faults", &f.faults},
+      {"--differential", &f.differential},
+      {"--diff-out", &f.diff_out},
+      {"--diff-csv", &f.diff_csv},
+      {"--matrix", &f.matrix},
+      {"--jobs", &f.jobs},
+      {"--trials", &f.trials},
+      {"--fleet", &f.fleet},
+      {"--shards", &f.shards},
+      {"--shard", &f.shard},
+      {"--fleet-out", &f.fleet_out},
+      {"--cell-timeout-ms", &f.cell_timeout_ms},
+      {"--cell-retries", &f.cell_retries},
+      {"--shard-timeout-s", &f.shard_timeout_s},
+      {"--shard-retries", &f.shard_retries},
+      {"--speculate", &f.speculate},
+      {"--chaos-seed", &f.chaos_seed},
+      {"--poison-cell", &f.poison_cell},
+      {"--cell-lo", &f.cell_lo},
+      {"--cell-hi", &f.cell_hi},
+      {"--quarantine", &f.quarantine},
+      {"--shard-out", &f.shard_out},
+      {"--chaos-kill-after-cells", &f.chaos_kill_after_cells},
+      {"--chaos-delay-ms", &f.chaos_delay_ms},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (MatchFlag(argv[i], "--matrix", &value)) {
-      matrix_mode = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--jobs", &value)) {
-      jobs = static_cast<int>(ParseIntFlag("--jobs", value));
-    } else if (MatchValueFlag(argc, argv, &i, "--fleet", &value)) {
-      fleet_spec_path = RequireValue("--fleet", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--shards", &value)) {
-      shards = ParseU64Flag("--shards", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--shard", &value)) {
-      shard_arg = RequireValue("--shard", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--fleet-out", &value)) {
-      fleet_out = RequireValue("--fleet-out", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--shard-timeout-s", &value)) {
-      shard_timeout_s = ParseDoubleFlag("--shard-timeout-s", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--shard-retries", &value)) {
-      shard_retries = static_cast<int>(ParseIntFlag("--shard-retries", value));
-    } else if (MatchFlag(argv[i], "--speculate", &value)) {
-      speculate = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--chaos-seed", &value)) {
-      chaos_seed = ParseU64Flag("--chaos-seed", value);
-      have_chaos_seed = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--poison-cell", &value)) {
-      poison_cell = ParseIntFlag("--poison-cell", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--cell-lo", &value)) {
-      cell_lo = ParseU64Flag("--cell-lo", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--cell-hi", &value)) {
-      cell_hi = ParseU64Flag("--cell-hi", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--quarantine", &value)) {
-      quarantine_file = RequireValue("--quarantine", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--shard-out", &value)) {
-      shard_out = RequireValue("--shard-out", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--chaos-kill-after-cells", &value)) {
-      chaos_kill_after_cells = ParseU64Flag("--chaos-kill-after-cells", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--chaos-delay-ms", &value)) {
-      chaos_delay_ms = ParseDoubleFlag("--chaos-delay-ms", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--trials", &value)) {
-      trials = static_cast<int>(ParseIntFlag("--trials", value));
-    } else if (MatchValueFlag(argc, argv, &i, "--os", &value)) {
-      os_name = RequireValue("--os", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--cores", &value)) {
-      cores = static_cast<int>(ParseIntFlag("--cores", value));
-    } else if (MatchValueFlag(argc, argv, &i, "--dpc-affinity", &value)) {
-      dpc_affinity = RequireValue("--dpc-affinity", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--workload", &value)) {
-      workload_name = RequireValue("--workload", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--priority", &value)) {
-      priority = static_cast<int>(ParseIntFlag("--priority", value));
-    } else if (MatchValueFlag(argc, argv, &i, "--minutes", &value)) {
-      minutes = ParseDoubleFlag("--minutes", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--seed", &value)) {
-      seed = ParseU64Flag("--seed", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--journal", &value)) {
-      journal_path = RequireValue("--journal", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--resume", &value)) {
-      resume_path = RequireValue("--resume", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--cell-timeout-ms", &value)) {
-      cell_timeout_ms = ParseDoubleFlag("--cell-timeout-ms", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--cell-retries", &value)) {
-      cell_retries = static_cast<int>(ParseIntFlag("--cell-retries", value));
-    } else if (MatchValueFlag(argc, argv, &i, "--audit-every-s", &value)) {
-      audit_every_s = ParseDoubleFlag("--audit-every-s", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--max-cells", &value)) {
-      max_cells = ParseU64Flag("--max-cells", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--audit-fail-cell", &value)) {
-      audit_fail_cell = ParseIntFlag("--audit-fail-cell", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--throw-cell", &value)) {
-      throw_cell = ParseIntFlag("--throw-cell", value);
-    } else if (MatchFlag(argv[i], "--scanner", &value)) {
-      scanner = true;
-    } else if (MatchFlag(argv[i], "--sounds", &value)) {
-      sounds = true;
-    } else if (MatchFlag(argv[i], "--plot", &value)) {
-      plot = true;
-    } else if (MatchFlag(argv[i], "--worst-cases", &value)) {
-      worst_cases = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--csv-dir", &value)) {
-      csv_dir = RequireValue("--csv-dir", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--trace-out", &value)) {
-      trace_out = RequireValue("--trace-out", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--metrics-out", &value)) {
-      metrics_out = RequireValue("--metrics-out", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--metrics-csv", &value)) {
-      metrics_csv = RequireValue("--metrics-csv", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--queue-sample-ms", &value)) {
-      queue_sample_ms = ParseDoubleFlag("--queue-sample-ms", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--episode-threshold-us", &value)) {
-      episode_threshold_us = ParseDoubleFlag("--episode-threshold-us", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--faults", &value)) {
-      faults_arg = RequireValue("--faults", value);
-    } else if (MatchFlag(argv[i], "--differential", &value)) {
-      differential = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--diff-out", &value)) {
-      diff_out = RequireValue("--diff-out", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--diff-csv", &value)) {
-      diff_csv = RequireValue("--diff-csv", value);
-    } else if (MatchValueFlag(argc, argv, &i, "--anatomy-out", &value)) {
-      anatomy_out = RequireValue("--anatomy-out", value);
-    } else if (MatchFlag(argv[i], "--sketch", &value)) {
-      sketch = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       Help();
-    } else {
+    }
+    bool matched = false;
+    for (const auto& [name, field] : fields) {
+      std::string value;
+      if (bool* const* flag = std::get_if<bool*>(&field)) {
+        matched = MatchFlag(argv[i], name, &value);
+        if (matched) {
+          **flag = true;
+        }
+      } else if (MatchValueFlag(argc, argv, &i, name, &value)) {
+        matched = true;
+        std::visit([&](auto* out) {
+          if constexpr (!std::is_same_v<decltype(out), bool*>) {
+            Assign(name, value, out);
+          }
+        }, field);
+      }
+      if (matched) {
+        break;
+      }
+    }
+    if (!matched) {
       Usage(argv[i]);
     }
   }
-  if (priority < kernel::kMinRealTimePriority || priority > kernel::kMaxPriority) {
-    std::fprintf(stderr, "wdmlat_run: --priority must be a real-time priority (16..31)\n");
-    return 2;
+  if (!f.diff_out.empty() || !f.diff_csv.empty()) {
+    f.differential = true;
   }
-  if (minutes <= 0.0) {
-    std::fprintf(stderr, "wdmlat_run: --minutes must be positive\n");
-    return 2;
+  return f;
+}
+
+// Every configuration error exits 2 here, before anything runs.
+void Validate(const Flags& f) {
+  if (f.priority < kernel::kMinRealTimePriority || f.priority > kernel::kMaxPriority) {
+    Die("--priority must be a real-time priority (16..31)");
   }
-  if (jobs < 1) {
-    std::fprintf(stderr, "wdmlat_run: --jobs must be at least 1\n");
-    return 2;
+  if (f.minutes <= 0.0) {
+    Die("--minutes must be positive");
   }
-  if (trials < 1) {
-    std::fprintf(stderr, "wdmlat_run: --trials must be at least 1\n");
-    return 2;
+  if (f.jobs < 1) {
+    Die("--jobs must be at least 1");
   }
-  if (cores != 0 && (cores < 1 || cores > 32)) {
-    std::fprintf(stderr, "wdmlat_run: --cores must be in 1..32\n");
-    return 2;
+  if (f.trials < 1) {
+    Die("--trials must be at least 1");
   }
-  if (!dpc_affinity.empty() && dpc_affinity != "pinned" &&
-      dpc_affinity != "migrating") {
-    std::fprintf(stderr,
-                 "wdmlat_run: --dpc-affinity must be pinned or migrating\n");
-    return 2;
+  if (f.cores != 0 && (f.cores < 1 || f.cores > 32)) {
+    Die("--cores must be in 1..32");
   }
-  if (!dpc_affinity.empty() && cores <= 1) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --dpc-affinity only applies to an SMP cell "
-                 "(pass --cores=N with N > 1)\n");
-    return 2;
+  if (!f.dpc_affinity.empty() && f.dpc_affinity != "pinned" && f.dpc_affinity != "migrating") {
+    Die("--dpc-affinity must be pinned or migrating");
   }
-  if (cell_retries < 1) {
-    std::fprintf(stderr, "wdmlat_run: --cell-retries must be at least 1\n");
-    return 2;
+  if (!f.dpc_affinity.empty() && f.cores <= 1) {
+    Die("--dpc-affinity only applies to an SMP cell (pass --cores=N with N > 1)");
   }
-  if (cell_timeout_ms < 0.0 || audit_every_s < 0.0) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --cell-timeout-ms and --audit-every-s must be >= 0\n");
-    return 2;
+  if (f.audit_every_s < 0.0) {
+    Die("--audit-every-s must be >= 0");
   }
-  if (!anatomy_out.empty() && episode_threshold_us <= 0.0) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --anatomy-out requires --episode-threshold-us "
-                 "(anatomy decomposes flight-recorder episodes)\n");
-    return 2;
+  if (!f.anatomy_out.empty() && f.episode_threshold_us <= 0.0) {
+    Die("--anatomy-out requires --episode-threshold-us (anatomy decomposes "
+        "flight-recorder episodes)");
   }
-  if (!journal_path.empty() && !resume_path.empty()) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --journal and --resume are mutually exclusive "
-                 "(--resume appends to its own journal)\n");
-    return 2;
+  if (f.differential && f.faults.empty()) {
+    Die("--differential requires --faults");
   }
-  // Any supervision knob implies matrix mode — the supervisor exists to keep
-  // a grid running, and the resume fingerprint is defined over a grid spec.
-  // Fleet mode reuses --cell-timeout-ms/--cell-retries for its own workers
-  // and resumes from its shard record files, so it opts out.
-  const bool supervised = !journal_path.empty() || !resume_path.empty() ||
-                          cell_timeout_ms > 0.0 || audit_every_s > 0.0 ||
-                          max_cells > 0 || audit_fail_cell >= 0 || throw_cell >= 0;
-  if (supervised && fleet_spec_path.empty()) {
-    matrix_mode = true;
+  if (f.differential && f.matrix) {
+    Die("--differential is single-cell only (drop --matrix)");
   }
-  if (!fleet_spec_path.empty() &&
-      (!journal_path.empty() || !resume_path.empty() || audit_every_s > 0.0 ||
-       max_cells > 0 || audit_fail_cell >= 0 || throw_cell >= 0)) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --fleet resumes from its shard record files; "
-                 "--journal/--resume/--audit-every-s/--max-cells and the CI "
-                 "fixtures are matrix-mode flags\n");
-    return 2;
+
+  // Fleet flags.
+  if (!f.shard.empty() && f.fleet.empty()) {
+    Die("--shard is a worker flag and requires --fleet");
   }
-  if (!resume_path.empty()) {
-    // Fail fast on an unreadable journal — before any cell runs.
-    std::ifstream probe(resume_path);
-    if (!probe) {
-      std::fprintf(stderr, "wdmlat_run: --resume=%s: cannot read journal\n",
-                   resume_path.c_str());
-      return 2;
+  const bool worker_flags = f.cell_lo != 0 || f.cell_hi != 0 || !f.quarantine.empty() ||
+                            !f.shard_out.empty() || f.chaos_kill_after_cells > 0 ||
+                            f.chaos_delay_ms > 0.0;
+  const bool supervisor_flags = f.shard_timeout_s > 0.0 || f.shard_retries != 3 ||
+                                f.speculate || f.chaos_seed.has_value();
+  const bool cell_supervision_flags = f.cell_timeout_ms != 0.0 || f.cell_retries != 3;
+  if ((worker_flags || supervisor_flags || cell_supervision_flags || f.poison_cell >= 0) &&
+      f.fleet.empty()) {
+    Die("--cell-timeout-ms/--cell-retries/--shard-timeout-s/--shard-retries/"
+        "--speculate/--chaos-seed/--poison-cell/--cell-lo/--cell-hi/--quarantine/"
+        "--shard-out/--chaos-kill-after-cells/--chaos-delay-ms are fleet flags and "
+        "require --fleet");
+  }
+  if (worker_flags && f.shard.empty()) {
+    Die("--cell-lo/--cell-hi/--quarantine/--shard-out/--chaos-kill-after-cells/"
+        "--chaos-delay-ms are worker flags and require --shard (the supervisor "
+        "passes them)");
+  }
+  if (supervisor_flags && !f.shard.empty()) {
+    Die("--shard-timeout-s/--shard-retries/--speculate/--chaos-seed are supervisor "
+        "flags; drop --shard");
+  }
+  if (f.cell_retries < 1) {
+    Die("--cell-retries must be at least 1");
+  }
+  if (f.shard_retries < 1) {
+    Die("--shard-retries must be at least 1");
+  }
+  if (f.cell_timeout_ms < 0.0 || f.shard_timeout_s < 0.0 || f.chaos_delay_ms < 0.0) {
+    Die("--cell-timeout-ms, --shard-timeout-s and --chaos-delay-ms must be >= 0");
+  }
+  if (f.cell_hi != 0 && f.cell_lo >= f.cell_hi) {
+    Die("--cell-lo must be below --cell-hi");
+  }
+  if (!f.fleet.empty()) {
+    if (f.matrix || f.differential || !f.faults.empty()) {
+      Die("--fleet is a self-contained mode (drop --matrix/--differential/--faults; "
+          "the spec carries its own priors)");
+    }
+    if (f.cores != 0 || !f.dpc_affinity.empty()) {
+      Die("--cores/--dpc-affinity are cell flags; fleet cohorts pick SMP via "
+          "os=nt_smp2|nt_smp4|nt_smp2_migrate|nt_smp4_migrate in the spec");
+    }
+  }
+}
+
+// --faults resolves to a built-in plan name first, then a JSON plan file.
+fault::FaultPlan LoadFaults(const std::string& arg) {
+  fault::FaultPlan plan;
+  if (fault::FindBuiltinPlan(arg, &plan)) {
+    return plan;
+  }
+  std::string error;
+  if (!fault::LoadFaultPlanFile(arg, &plan, &error)) {
+    std::string builtins;
+    for (const std::string& name : fault::BuiltinPlanNames()) {
+      builtins += (builtins.empty() ? "" : ", ") + name;
+    }
+    Die("--faults=" + arg + ": " + error + " (built-ins: " + builtins + ")");
+  }
+  return plan;
+}
+
+// %.17g: a double forwarded to a worker's argv arrives bit-exact.
+std::string DoubleArg(const char* flag, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s=%.17g", flag, value);
+  return buf;
+}
+
+// --- Matrix mode -------------------------------------------------------------
+
+int RunMatrix(const Flags& f, const fault::FaultPlan* plan) {
+  obs::ChromeTraceWriter trace_writer;
+  lab::MatrixSpec spec = lab::PaperMatrix();
+  if (f.cores > 1) {
+    // NT-UP vs NT-SMP: add an SMP column to the paper grid (EXPERIMENTS.md
+    // "NT-UP vs NT-SMP" recipe).
+    spec.oses.push_back(kernel::MakeNt4SmpProfile(f.cores, f.dpc_affinity == "migrating"));
+  }
+  spec.trials = f.trials;
+  spec.stress_minutes = f.minutes;
+  spec.master_seed = f.seed;
+  spec.options.virus_scanner = f.scanner;
+  spec.options.sound_scheme = f.sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
+  spec.collect_metrics = f.want_metrics();
+  spec.queue_sample_ms = f.queue_sample_ms;
+  spec.episode_threshold_us = f.episode_threshold_us;
+  spec.anatomy = !f.anatomy_out.empty();
+  spec.sketch = f.sketch;
+  spec.audit_every_s = f.audit_every_s;
+  spec.faults = plan;
+  if (!f.trace_out.empty()) {
+    spec.trace_sink = &trace_writer;
+  }
+  const lab::ExperimentMatrix matrix(spec);
+
+  std::printf(
+      "wdmlat_run --matrix: %zu cells (%zu OS x %zu workloads x %zu priorities x %d "
+      "trials),\n%.1f virtual minutes per cell, master seed %llu, %d jobs\n\n",
+      matrix.cells().size(), spec.oses.size(), spec.workloads.size(), spec.priorities.size(),
+      spec.trials, f.minutes, static_cast<unsigned long long>(f.seed), f.jobs);
+
+  const lab::MatrixResult result = matrix.Run(f.jobs, [](const lab::MatrixCell& cell) {
+    std::printf("  done: %-16s %-18s prio %2d  trial %d  (seed %016llx)\n",
+                cell.config.os.name.c_str(), cell.config.stress.name.c_str(),
+                cell.config.thread_priority, cell.trial,
+                static_cast<unsigned long long>(cell.seed));
+  });
+
+  std::printf("\nMerged distributions (per OS x workload x priority group):\n");
+  std::printf("  %-16s %-18s %-4s %-7s %-9s %9s %9s %9s\n", "OS", "workload", "prio", "trials",
+              "samples", "p50 ms", "p99 ms", "max ms");
+  for (const lab::MergedCell& group : result.merged) {
+    std::printf("  %-16s %-18s %-4d %-7d %-9llu %9.3f %9.3f %9.3f\n", group.os_name.c_str(),
+                group.workload_name.c_str(), group.thread_priority, group.trials,
+                static_cast<unsigned long long>(group.samples()), group.thread.QuantileMs(0.5),
+                group.thread.QuantileMs(0.99), group.thread.max_ms());
+  }
+  std::printf(
+      "\n%zu cells in %.2f s wall (%.2f s summed cell time, %.2fx speedup at --jobs=%d)\n",
+      matrix.cells().size(), result.wall_seconds, result.total_cell_seconds, result.Speedup(),
+      f.jobs);
+  std::printf(
+      "determinism: merged histograms are bit-identical for any --jobs value under "
+      "master seed %llu\n",
+      static_cast<unsigned long long>(f.seed));
+
+  if (plan != nullptr) {
+    std::printf("\nFault plan \"%s\" (seed %llu) activations per group:\n", plan->name.c_str(),
+                static_cast<unsigned long long>(plan->seed));
+    for (const lab::MergedCell& group : result.merged) {
+      std::printf("  %-16s %-18s prio %-2d  %llu activations\n", group.os_name.c_str(),
+                  group.workload_name.c_str(), group.thread_priority,
+                  static_cast<unsigned long long>(group.fault_activations));
     }
   }
 
-  // --faults resolves to a built-in plan name first, then a JSON plan file.
-  fault::FaultPlan fault_plan;
-  const bool have_faults = !faults_arg.empty();
-  if (have_faults && !fault::FindBuiltinPlan(faults_arg, &fault_plan)) {
-    std::string error;
-    if (!fault::LoadFaultPlanFile(faults_arg, &fault_plan, &error)) {
-      std::string builtins;
-      for (const std::string& name : fault::BuiltinPlanNames()) {
-        builtins += (builtins.empty() ? "" : ", ") + name;
+  if (f.episode_threshold_us > 0.0) {
+    std::printf("\nFlight-recorder episodes (threshold %.0f us):\n", f.episode_threshold_us);
+    for (const lab::MergedCell& group : result.merged) {
+      if (group.episodes == 0) {
+        continue;
       }
-      std::fprintf(stderr, "wdmlat_run: --faults=%s: %s (built-ins: %s)\n",
-                   faults_arg.c_str(), error.c_str(), builtins.c_str());
-      return 2;
+      std::printf("  %-16s %-18s prio %-2d  %llu episodes, %llu attributed, "
+                  "%llu module matches\n",
+                  group.os_name.c_str(), group.workload_name.c_str(), group.thread_priority,
+                  static_cast<unsigned long long>(group.episodes),
+                  static_cast<unsigned long long>(group.episodes_attributed),
+                  static_cast<unsigned long long>(group.episode_module_matches));
     }
   }
-  if (!diff_out.empty() || !diff_csv.empty()) {
-    differential = true;
-  }
-  if (differential && !have_faults) {
-    std::fprintf(stderr, "wdmlat_run: --differential requires --faults\n");
-    return 2;
-  }
-  if (differential && matrix_mode) {
-    std::fprintf(stderr, "wdmlat_run: --differential is single-cell only (drop --matrix)\n");
-    return 2;
-  }
-
-  // --- Fleet mode ------------------------------------------------------------
-  if (!shard_arg.empty() && fleet_spec_path.empty()) {
-    std::fprintf(stderr, "wdmlat_run: --shard is a worker flag and requires --fleet\n");
-    return 2;
-  }
-  const bool fleet_worker_flags = cell_lo != 0 || cell_hi != 0 ||
-                                  !quarantine_file.empty() || !shard_out.empty() ||
-                                  chaos_kill_after_cells > 0 || chaos_delay_ms > 0.0;
-  const bool fleet_supervisor_flags = shard_timeout_s > 0.0 || shard_retries != 3 ||
-                                      speculate || have_chaos_seed || poison_cell >= 0;
-  if ((fleet_worker_flags || fleet_supervisor_flags) && fleet_spec_path.empty()) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --shard-timeout-s/--shard-retries/--speculate/"
-                 "--chaos-seed/--poison-cell/--cell-lo/--cell-hi/--quarantine/"
-                 "--shard-out/--chaos-kill-after-cells/--chaos-delay-ms are fleet "
-                 "flags and require --fleet\n");
-    return 2;
-  }
-  if (fleet_worker_flags && shard_arg.empty()) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --cell-lo/--cell-hi/--quarantine/--shard-out/"
-                 "--chaos-kill-after-cells/--chaos-delay-ms are worker flags and "
-                 "require --shard (the supervisor passes them)\n");
-    return 2;
-  }
-  if (!shard_arg.empty() &&
-      (shard_timeout_s > 0.0 || shard_retries != 3 || speculate || have_chaos_seed)) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --shard-timeout-s/--shard-retries/--speculate/"
-                 "--chaos-seed are supervisor flags; drop --shard\n");
-    return 2;
-  }
-  if (shard_retries < 1) {
-    std::fprintf(stderr, "wdmlat_run: --shard-retries must be at least 1\n");
-    return 2;
-  }
-  if (shard_timeout_s < 0.0 || chaos_delay_ms < 0.0) {
-    std::fprintf(stderr,
-                 "wdmlat_run: --shard-timeout-s and --chaos-delay-ms must be >= 0\n");
-    return 2;
-  }
-  if (cell_hi != 0 && cell_lo >= cell_hi) {
-    std::fprintf(stderr, "wdmlat_run: --cell-lo must be below --cell-hi\n");
-    return 2;
-  }
-  if (!fleet_spec_path.empty()) {
-    if (matrix_mode || differential || have_faults) {
-      std::fprintf(stderr,
-                   "wdmlat_run: --fleet is a self-contained mode (drop --matrix/"
-                   "--differential/--faults; the spec carries its own priors)\n");
-      return 2;
-    }
-    if (cores != 0 || !dpc_affinity.empty()) {
-      std::fprintf(stderr,
-                   "wdmlat_run: --cores/--dpc-affinity are cell flags; fleet "
-                   "cohorts pick SMP via os=nt_smp2|nt_smp4|nt_smp2_migrate|"
-                   "nt_smp4_migrate in the spec\n");
-      return 2;
-    }
-    lab::FleetSpec spec;
-    std::string error;
-    if (!lab::LoadFleetSpec(fleet_spec_path, &spec, &error)) {
-      std::fprintf(stderr, "wdmlat_run: --fleet=%s: %s\n", fleet_spec_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    const lab::Fleet fleet(std::move(spec));
-    if (!fleet.error().empty()) {
-      std::fprintf(stderr, "wdmlat_run: --fleet=%s: %s\n", fleet_spec_path.c_str(),
-                   fleet.error().c_str());
-      return 2;
-    }
-
-    if (!shard_arg.empty()) {
-      // Worker: run shard K of N into the shard record file and exit.
-      const std::size_t slash = shard_arg.find('/');
-      if (slash == std::string::npos) {
-        Die("--shard wants K/N, e.g. --shard=0/4");
+  if (!f.anatomy_out.empty()) {
+    std::printf("\nCausal anatomy (stage cycles pooled per group):\n");
+    std::string json = "{\n  \"groups\": [";
+    bool first = true;
+    for (const lab::MergedCell& group : result.merged) {
+      if (group.anatomy_episodes == 0) {
+        continue;
       }
-      const std::uint64_t worker_shard =
-          ParseU64Flag("--shard", shard_arg.substr(0, slash));
-      const std::uint64_t worker_shards = ParseU64Flag("--shard", shard_arg.substr(slash + 1));
-      if (worker_shards == 0 || worker_shard >= worker_shards) {
-        Die("--shard=" + shard_arg + " wants 0 <= K < N");
+      sim::Cycles total = 0;
+      for (const sim::Cycles cycles : group.anatomy_stage_cycles) {
+        total += cycles;
       }
-      lab::FleetShardOptions options;
-      options.shard = static_cast<std::size_t>(worker_shard);
-      options.shards = static_cast<std::size_t>(worker_shards);
-      options.jobs = jobs;
-      options.out_path = shard_out.empty()
-                             ? lab::FleetShardPath(fleet_out, options.shard, options.shards)
-                             : shard_out;
-      options.supervision.cell_timeout_ms = cell_timeout_ms;
-      options.supervision.max_attempts = cell_retries;
-      options.cell_lo = cell_lo;
-      options.cell_hi = cell_hi;
-      options.poison_cell = poison_cell;
-      options.chaos_kill_after_cells = chaos_kill_after_cells;
-      options.chaos_delay_ms = chaos_delay_ms;
-      if (!quarantine_file.empty()) {
-        std::vector<lab::FleetQuarantineEntry> manifest;
-        std::string qerror;
-        if (!lab::LoadFleetQuarantine(quarantine_file, &manifest, &qerror)) {
-          std::fprintf(stderr, "wdmlat_run: --quarantine=%s: %s\n",
-                       quarantine_file.c_str(), qerror.c_str());
-          return 2;
-        }
-        for (const lab::FleetQuarantineEntry& entry : manifest) {
-          options.skip_cells.push_back(entry.cell);
-        }
-      }
-      const lab::FleetShardResult result = lab::RunFleetShard(fleet, options);
-      for (const std::string& warning : result.warnings) {
-        std::fprintf(stderr, "wdmlat_run: shard %llu: warning: %s\n",
-                     static_cast<unsigned long long>(worker_shard), warning.c_str());
-      }
-      if (!result.error.empty()) {
-        std::fprintf(stderr, "wdmlat_run: shard %llu: %s\n",
-                     static_cast<unsigned long long>(worker_shard), result.error.c_str());
-        return 2;
-      }
-      for (const runtime::CellFailure& failure : result.failures) {
-        std::fprintf(stderr, "wdmlat_run: shard %llu: %s\n",
-                     static_cast<unsigned long long>(worker_shard),
-                     failure.Render().c_str());
-      }
-      std::printf("shard %llu/%llu: %llu cells (%llu restored, %llu executed) in %.2f s\n",
-                  static_cast<unsigned long long>(worker_shard),
-                  static_cast<unsigned long long>(worker_shards),
-                  static_cast<unsigned long long>(result.cells_total),
-                  static_cast<unsigned long long>(result.cells_restored),
-                  static_cast<unsigned long long>(result.cells_executed),
-                  result.wall_seconds);
-      return result.failures.empty() ? 0 : 3;
-    }
-
-    // Orchestrator: spawn one worker process per shard (crash isolation —
-    // a dead worker costs one shard's tail, and a re-run resumes it), then
-    // stream-merge the shard record files.
-    if (shards == 0) {
-      Die("--shards must be at least 1");
-    }
-    if (shards > fleet.cell_count()) {
-      shards = fleet.cell_count();
-    }
-    ::mkdir(fleet_out.c_str(), 0777);  // EEXIST is fine; open errors surface below
-    std::string self = runtime::SelfExecutable();
-    if (self.empty()) {
-      self = argv[0];
-    }
-
-    // The quarantine manifest survives re-runs: cells isolated by a previous
-    // invocation stay skipped, so resume converges instead of re-tripping.
-    const std::string quarantine_manifest = fleet_out + "/quarantine.jsonl";
-    std::vector<lab::FleetQuarantineEntry> quarantined;
-    {
-      std::ifstream probe(quarantine_manifest);
-      if (probe) {
-        std::string qerror;
-        if (!lab::LoadFleetQuarantine(quarantine_manifest, &quarantined, &qerror)) {
-          std::fprintf(stderr, "wdmlat_run: %s: %s\n", quarantine_manifest.c_str(),
-                       qerror.c_str());
-          return 2;
+      std::printf("  %-16s %-18s prio %-2d  %llu episodes\n", group.os_name.c_str(),
+                  group.workload_name.c_str(), group.thread_priority,
+                  static_cast<unsigned long long>(group.anatomy_episodes));
+      json += first ? "\n" : ",\n";
+      first = false;
+      json += "    {\"os\": \"" + group.os_name + "\", \"workload\": \"" + group.workload_name +
+              "\", \"priority\": " + std::to_string(group.thread_priority) +
+              ",\n     \"episodes\": " + std::to_string(group.anatomy_episodes) +
+              ", \"stage_cycles\": {";
+      for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
+        const auto stage = static_cast<obs::AnatomyStage>(s);
+        const sim::Cycles cycles = group.anatomy_stage_cycles[s];
+        json += std::string(s == 0 ? "" : ", ") + "\"" + obs::AnatomyStageName(stage) +
+                "\": " + std::to_string(cycles);
+        if (cycles > 0 && total > 0) {
+          std::printf("    %-14s %12llu cycles  (%5.1f%%)\n", obs::AnatomyStageName(stage),
+                      static_cast<unsigned long long>(cycles),
+                      100.0 * static_cast<double>(cycles) / static_cast<double>(total));
         }
       }
+      json += "}}";
     }
-
-    std::printf(
-        "wdmlat_run --fleet: \"%s\", %llu cells in %zu cohort(s), fingerprint %016llx,\n"
-        "%llu shard process(es) (max %d concurrent) -> %s\n\n",
-        fleet.spec().name.c_str(), static_cast<unsigned long long>(fleet.cell_count()),
-        fleet.spec().cohorts.size(), static_cast<unsigned long long>(fleet.fingerprint()),
-        static_cast<unsigned long long>(shards), jobs, fleet_out.c_str());
-
-    // Supervised fleet: per-shard liveness deadlines, bounded retry with
-    // backoff, poisoned-cell bisection and (optionally) straggler
-    // speculation and the deterministic host-chaos harness. --jobs bounds
-    // concurrent worker *processes*; each worker runs its shard
-    // single-threaded (the shard file contract is per-process anyway).
-    const lab::HostChaos host_chaos(chaos_seed);
-    const std::string canonical_quarantine = quarantine_manifest;
-    runtime::FleetSupervisorOptions sup;
-    sup.shards = static_cast<std::size_t>(shards);
-    sup.cell_count = static_cast<std::size_t>(fleet.cell_count());
-    sup.max_parallel = static_cast<std::size_t>(jobs);
-    sup.shard_timeout_s = shard_timeout_s;
-    sup.max_attempts = shard_retries;
-    sup.speculate = speculate;
-    if (!quarantined.empty()) {
-      sup.quarantine_path = canonical_quarantine;
-    }
-    sup.shard_path = [&](std::size_t k) {
-      return lab::FleetShardPath(fleet_out, k, static_cast<std::size_t>(shards));
-    };
-    sup.cell_seed = [&](std::size_t cell) { return fleet.CellAt(cell).seed; };
-    if (have_chaos_seed) {
-      sup.chaos = [&](std::size_t k, int attempt) { return host_chaos.PlanFor(k, attempt); };
-    }
-    sup.spawn = [&](const runtime::FleetWorkerRequest& request, pid_t* pid,
-                    std::string* spawn_error) {
-      runtime::ShardProcess process;
-      process.argv = {self,
-                      "--fleet=" + fleet_spec_path,
-                      "--shard=" + std::to_string(request.shard) + "/" +
-                          std::to_string(shards),
-                      "--fleet-out=" + fleet_out,
-                      "--jobs=1"};
-      if (cell_timeout_ms > 0.0) {
-        process.argv.push_back("--cell-timeout-ms=" + std::to_string(cell_timeout_ms));
-      }
-      if (cell_retries != 3) {
-        process.argv.push_back("--cell-retries=" + std::to_string(cell_retries));
-      }
-      if (request.cell_lo != 0) {
-        process.argv.push_back("--cell-lo=" + std::to_string(request.cell_lo));
-      }
-      if (request.cell_hi != 0 && request.cell_hi < fleet.cell_count()) {
-        process.argv.push_back("--cell-hi=" + std::to_string(request.cell_hi));
-      }
-      if (!request.quarantine_path.empty()) {
-        process.argv.push_back("--quarantine=" + request.quarantine_path);
-      }
-      const std::string canonical =
-          lab::FleetShardPath(fleet_out, request.shard, static_cast<std::size_t>(shards));
-      if (request.out_path != canonical) {
-        process.argv.push_back("--shard-out=" + request.out_path);
-      }
-      if (poison_cell >= 0) {
-        process.argv.push_back("--poison-cell=" + std::to_string(poison_cell));
-      }
-      if (request.chaos.kill_after_cells > 0) {
-        process.argv.push_back("--chaos-kill-after-cells=" +
-                               std::to_string(request.chaos.kill_after_cells));
-      }
-      if (request.chaos.delay_ms > 0.0) {
-        process.argv.push_back("--chaos-delay-ms=" + std::to_string(request.chaos.delay_ms));
-      }
-      return runtime::SpawnShardProcess(process, pid, spawn_error);
-    };
-    sup.on_quarantine = [&](const runtime::QuarantinedCell& cell) {
-      lab::FleetQuarantineEntry entry;
-      entry.cell = cell.cell;
-      entry.seed = cell.seed;
-      entry.taxonomy = runtime::FailureKindName(cell.kind);
-      entry.attempts = cell.attempts;
-      quarantined.push_back(entry);
-      std::sort(quarantined.begin(), quarantined.end(),
-                [](const lab::FleetQuarantineEntry& a, const lab::FleetQuarantineEntry& b) {
-                  return a.cell < b.cell;
-                });
-      std::string qerror;
-      if (!lab::SaveFleetQuarantine(canonical_quarantine, quarantined, &qerror)) {
-        std::fprintf(stderr, "wdmlat_run: quarantine manifest: %s\n", qerror.c_str());
-      }
-      return canonical_quarantine;
-    };
-    sup.stitch = [&](std::size_t k, const std::string& main_path,
-                     const std::string& spec_path, std::string* stitch_error) {
-      return lab::StitchShardFiles(fleet, k, static_cast<std::size_t>(shards), main_path,
-                                   spec_path, stitch_error);
-    };
-    sup.log = [](const std::string& line) {
-      std::fprintf(stderr, "wdmlat_run: supervisor: %s\n", line.c_str());
-    };
-    const runtime::FleetSupervisorResult supervision = runtime::SuperviseFleet(sup);
-    if (supervision.spawns > shards || supervision.heartbeat_kills > 0 ||
-        supervision.bisect_probes > 0 || supervision.speculative_spawns > 0) {
-      std::printf(
-          "supervisor: %llu spawn(s), %llu retr%s, %llu heartbeat kill(s), "
-          "%llu bisect probe(s), %llu speculative (%llu won)\n",
-          static_cast<unsigned long long>(supervision.spawns),
-          static_cast<unsigned long long>(supervision.retries),
-          supervision.retries == 1 ? "y" : "ies",
-          static_cast<unsigned long long>(supervision.heartbeat_kills),
-          static_cast<unsigned long long>(supervision.bisect_probes),
-          static_cast<unsigned long long>(supervision.speculative_spawns),
-          static_cast<unsigned long long>(supervision.speculative_wins));
-    }
-    if (!supervision.ok()) {
-      std::fprintf(stderr, "wdmlat_run: %s\n", supervision.error.c_str());
-      std::fprintf(stderr,
-                   "wdmlat_run: fleet workers failed; completed shard records are kept — "
-                   "re-run the same command to resume\n");
-      return 3;
-    }
-
-    std::vector<std::string> shard_paths;
-    for (std::uint64_t k = 0; k < shards; ++k) {
-      shard_paths.push_back(lab::FleetShardPath(fleet_out, static_cast<std::size_t>(k),
-                                                static_cast<std::size_t>(shards)));
-    }
-    // Always merge degraded: quarantined cells become explicit coverage gaps
-    // in fleet.json instead of a fatal merge error, and a damaged record that
-    // slipped past the supervisor is quarantined rather than sinking the run.
-    lab::FleetMergeOptions merge_options;
-    merge_options.quarantined = quarantined;
-    merge_options.allow_degraded = true;
-    lab::FleetReport report;
-    if (!lab::MergeFleetShards(fleet, shard_paths, merge_options, &report, &error)) {
-      std::fprintf(stderr, "wdmlat_run: fleet merge: %s\n", error.c_str());
-      return 3;
-    }
-    for (const std::string& warning : report.merge_warnings) {
-      std::fprintf(stderr, "wdmlat_run: merge: %s\n", warning.c_str());
-    }
-    const std::string report_path = fleet_out + "/fleet.json";
-    WriteTextFile(report_path, lab::FleetReportToJson(report), "fleet report JSON");
-
-    std::printf("\nMerged cohorts (grid-order fold; bit-identical for any --shards/--jobs):\n");
-    std::printf("  %-16s %-8s %-4s %9s %11s %9s %9s %9s %9s\n", "cohort", "os", "prio",
-                "cells", "samples", "p50 ms", "p99 ms", "p99.9 ms", "max ms");
-    for (const lab::FleetCohortReport& cohort : report.cohorts) {
-      std::printf("  %-16s %-8s %-4d %9llu %11llu %9.3f %9.3f %9.3f %9.3f\n",
-                  cohort.name.c_str(), cohort.os.c_str(), cohort.priority,
-                  static_cast<unsigned long long>(cohort.cells),
-                  static_cast<unsigned long long>(cohort.counters.samples),
-                  cohort.thread.QuantileMs(0.5), cohort.thread.QuantileMs(0.99),
-                  cohort.thread.QuantileMs(0.999), cohort.thread.max_ms());
-    }
-    if (report.cells_quarantined > 0) {
-      std::printf("\nQUARANTINED %llu cell(s) — coverage is degraded (manifest: %s):\n",
-                  static_cast<unsigned long long>(report.cells_quarantined),
-                  canonical_quarantine.c_str());
-      for (const lab::FleetQuarantineEntry& entry : report.quarantine) {
-        std::printf("  cell %llu (seed %llu): %s after %d attempt(s)\n",
-                    static_cast<unsigned long long>(entry.cell),
-                    static_cast<unsigned long long>(entry.seed), entry.taxonomy.c_str(),
-                    entry.attempts);
-      }
-    }
-    return 0;
+    json += first ? "]\n}\n" : "\n  ]\n}\n";
+    WriteTextFile(f.anatomy_out, json, "anatomy stage totals JSON");
   }
+  if (f.sketch) {
+    std::printf("\nQuantile sketch (grid-order merged; deep tail exact):\n");
+    std::printf("  %-16s %-18s %-4s %9s %9s %9s %9s\n", "OS", "workload", "prio", "p50 ms",
+                "p99 ms", "p99.9 ms", "p99.99 ms");
+    for (const lab::MergedCell& group : result.merged) {
+      std::printf("  %-16s %-18s %-4d %9.3f %9.3f %9.3f %9.3f\n", group.os_name.c_str(),
+                  group.workload_name.c_str(), group.thread_priority,
+                  group.thread_sketch.QuantileMs(0.5), group.thread_sketch.QuantileMs(0.99),
+                  group.thread_sketch.QuantileMs(0.999), group.thread_sketch.QuantileMs(0.9999));
+    }
+  }
+  if (!f.trace_out.empty()) {
+    lab::AppendHostTrace(trace_writer, matrix, result);
+    if (trace_writer.WriteFile(f.trace_out)) {
+      std::printf("wrote Chrome trace (%zu events) to %s\n", trace_writer.event_count(),
+                  f.trace_out.c_str());
+    } else {
+      std::fprintf(stderr, "wdmlat_run: failed to write trace to %s\n", f.trace_out.c_str());
+    }
+  }
+  if (!f.metrics_out.empty()) {
+    WriteTextFile(f.metrics_out, result.metrics.ToJson(), "metrics JSON");
+  }
+  if (!f.metrics_csv.empty()) {
+    WriteTextFile(f.metrics_csv, result.metrics.ToCsv(), "metrics CSV");
+  }
+  for (const std::string& violation : result.merge_violations) {
+    std::fprintf(stderr, "wdmlat_run: merge audit: %s\n", violation.c_str());
+  }
+  return result.merge_violations.empty() ? 0 : 3;
+}
 
+// --- Single-cell and differential modes --------------------------------------
+
+lab::LabConfig CellConfig(const Flags& f) {
+  lab::LabConfig config;
+  if (f.os_name == "nt4" && f.cores > 1) {
+    config.os = kernel::MakeNt4SmpProfile(f.cores, f.dpc_affinity == "migrating");
+  } else if (!lab::OsProfileByName(f.os_name, &config.os)) {
+    Usage(("--os=" + f.os_name).c_str());
+  }
+  if (f.cores > 1 && f.os_name != "nt4") {
+    Die("--cores=" + std::to_string(f.cores) +
+        " needs --os=nt4 (only the NT kernel model is SMP-capable; the nt_smp* aliases "
+        "already fix a core count)");
+  }
+  if (!lab::WorkloadByName(f.workload_name, &config.stress)) {
+    Usage(("--workload=" + f.workload_name).c_str());
+  }
+  config.thread_priority = f.priority;
+  config.stress_minutes = f.minutes;
+  config.seed = f.seed;
+  config.options.virus_scanner = f.scanner;
+  config.options.sound_scheme =
+      f.sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
+  config.obs.queue_sample_ms = f.queue_sample_ms;
+  config.obs.episode_threshold_us = f.episode_threshold_us;
+  config.obs.anatomy = !f.anatomy_out.empty();
+  config.obs.sketch = f.sketch;
+  config.supervision.audit_every_s = f.audit_every_s;
+  config.supervision.audit_at_end = f.audit_every_s > 0.0;
+  return config;
+}
+
+void PrintCellHeader(const Flags& f, const lab::LabConfig& config) {
+  std::printf("wdmlat_run: %s, %s, priority %d, %.1f virtual minutes, seed %llu\n",
+              config.os.name.c_str(), config.stress.name.c_str(), f.priority, f.minutes,
+              static_cast<unsigned long long>(f.seed));
+}
+
+int RunDifferentialCell(const Flags& f, const lab::LabConfig& config,
+                        const fault::FaultPlan& plan) {
+  PrintCellHeader(f, config);
+  std::printf("differential A/B: baseline vs. fault plan \"%s\" from the same seed\n\n",
+              plan.name.c_str());
+  const lab::DifferentialReport diff = lab::RunDifferential(config, plan);
+  std::fputs(lab::RenderDifferentialTables(diff).c_str(), stdout);
+  if (!f.diff_out.empty()) {
+    WriteTextFile(f.diff_out, lab::DifferentialToJson(diff), "differential JSON");
+  }
+  if (!f.diff_csv.empty()) {
+    WriteTextFile(f.diff_csv, lab::DifferentialToCsv(diff), "differential CSV");
+  }
+  return 0;
+}
+
+int RunCell(const Flags& f, lab::LabConfig config, const fault::FaultPlan* plan) {
   obs::ChromeTraceWriter trace_writer;
   obs::MetricsRegistry metrics;
-  const bool want_metrics = !metrics_out.empty() || !metrics_csv.empty();
-
-  if (matrix_mode) {
-    lab::MatrixSpec spec = lab::PaperMatrix();
-    if (cores > 1) {
-      // NT-UP vs NT-SMP: add an SMP column to the paper grid (EXPERIMENTS.md
-      // "NT-UP vs NT-SMP" recipe).
-      spec.oses.push_back(
-          kernel::MakeNt4SmpProfile(cores, dpc_affinity == "migrating"));
-    }
-    spec.trials = trials;
-    spec.stress_minutes = minutes;
-    spec.master_seed = seed;
-    spec.options.virus_scanner = scanner;
-    spec.options.sound_scheme =
-        sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
-    spec.collect_metrics = want_metrics;
-    spec.queue_sample_ms = queue_sample_ms;
-    spec.episode_threshold_us = episode_threshold_us;
-    spec.anatomy = !anatomy_out.empty();
-    spec.sketch = sketch;
-    if (have_faults) {
-      spec.faults = &fault_plan;
-    }
-    if (!trace_out.empty()) {
-      spec.trace_sink = &trace_writer;
-    }
-    const lab::ExperimentMatrix matrix(spec);
-
-    std::printf(
-        "wdmlat_run --matrix: %zu cells (%zu OS x %zu workloads x %zu priorities x %d "
-        "trials),\n%.1f virtual minutes per cell, master seed %llu, %d jobs\n\n",
-        matrix.cells().size(), spec.oses.size(), spec.workloads.size(),
-        spec.priorities.size(), spec.trials, minutes,
-        static_cast<unsigned long long>(seed), jobs);
-
-    lab::MatrixRunOptions run_options;
-    run_options.jobs = jobs;
-    run_options.isolate_failures = supervised;
-    run_options.supervision.cell_timeout_ms = cell_timeout_ms;
-    run_options.supervision.max_attempts = cell_retries;
-    run_options.audit_every_s = audit_every_s;
-    run_options.audit_fail_cell = audit_fail_cell;
-    run_options.throw_cell = throw_cell;
-    run_options.max_cells = static_cast<std::size_t>(max_cells);
-    run_options.journal_path = journal_path;
-    run_options.resume_path = resume_path;
-    run_options.on_cell_done = [](const lab::MatrixCell& cell, lab::CellStatus status) {
-      std::printf("  %s: %-16s %-18s prio %2d  trial %d  (seed %016llx)\n",
-                  lab::CellStatusName(status), cell.config.os.name.c_str(),
-                  cell.config.stress.name.c_str(), cell.config.thread_priority, cell.trial,
-                  static_cast<unsigned long long>(cell.seed));
-    };
-    run_options.on_cell_failed = [](const runtime::CellFailure& failure) {
-      std::fprintf(stderr, "wdmlat_run: %s\n", failure.Render().c_str());
-    };
-
-    const lab::MatrixResult result = matrix.Run(run_options);
-    if (!result.error.empty()) {
-      std::fprintf(stderr, "wdmlat_run: %s\n", result.error.c_str());
-      return 2;
-    }
-    for (const std::string& warning : result.warnings) {
-      std::fprintf(stderr, "wdmlat_run: warning: %s\n", warning.c_str());
-    }
-    if (result.cells_restored > 0) {
-      std::printf("resumed: %zu cell(s) restored from %s, %zu executed\n",
-                  result.cells_restored, resume_path.c_str(), result.cells_executed);
-    }
-    if (result.retries > 0) {
-      std::printf("supervisor: %llu host-transient retr%s\n",
-                  static_cast<unsigned long long>(result.retries),
-                  result.retries == 1 ? "y" : "ies");
-    }
-
-    std::printf("\nMerged distributions (per OS x workload x priority group):\n");
-    std::printf("  %-16s %-18s %-4s %-7s %-9s %9s %9s %9s\n", "OS", "workload", "prio",
-                "trials", "samples", "p50 ms", "p99 ms", "max ms");
-    for (const lab::MergedCell& group : result.merged) {
-      std::printf("  %-16s %-18s %-4d %-7d %-9llu %9.3f %9.3f %9.3f\n",
-                  group.os_name.c_str(), group.workload_name.c_str(),
-                  group.thread_priority, group.trials,
-                  static_cast<unsigned long long>(group.samples()),
-                  group.thread.QuantileMs(0.5), group.thread.QuantileMs(0.99),
-                  group.thread.max_ms());
-    }
-    std::printf(
-        "\n%zu cells in %.2f s wall (%.2f s summed cell time, %.2fx speedup at "
-        "--jobs=%d)\n",
-        matrix.cells().size(), result.wall_seconds, result.total_cell_seconds,
-        result.Speedup(), jobs);
-    std::printf(
-        "determinism: merged histograms are bit-identical for any --jobs value under "
-        "master seed %llu\n",
-        static_cast<unsigned long long>(seed));
-
-    if (have_faults) {
-      std::printf("\nFault plan \"%s\" (seed %llu) activations per group:\n",
-                  fault_plan.name.c_str(),
-                  static_cast<unsigned long long>(fault_plan.seed));
-      for (const lab::MergedCell& group : result.merged) {
-        std::printf("  %-16s %-18s prio %-2d  %llu activations\n", group.os_name.c_str(),
-                    group.workload_name.c_str(), group.thread_priority,
-                    static_cast<unsigned long long>(group.fault_activations));
-      }
-    }
-
-    if (episode_threshold_us > 0.0) {
-      std::printf("\nFlight-recorder episodes (threshold %.0f us):\n", episode_threshold_us);
-      for (const lab::MergedCell& group : result.merged) {
-        if (group.episodes == 0) {
-          continue;
-        }
-        std::printf("  %-16s %-18s prio %-2d  %llu episodes, %llu attributed, "
-                    "%llu module matches\n",
-                    group.os_name.c_str(), group.workload_name.c_str(),
-                    group.thread_priority,
-                    static_cast<unsigned long long>(group.episodes),
-                    static_cast<unsigned long long>(group.episodes_attributed),
-                    static_cast<unsigned long long>(group.episode_module_matches));
-      }
-    }
-    if (!anatomy_out.empty()) {
-      std::printf("\nCausal anatomy (stage cycles pooled per group):\n");
-      std::string json = "{\n  \"groups\": [";
-      bool first = true;
-      for (const lab::MergedCell& group : result.merged) {
-        if (group.anatomy_episodes == 0) {
-          continue;
-        }
-        sim::Cycles total = 0;
-        for (const sim::Cycles cycles : group.anatomy_stage_cycles) {
-          total += cycles;
-        }
-        std::printf("  %-16s %-18s prio %-2d  %llu episodes\n", group.os_name.c_str(),
-                    group.workload_name.c_str(), group.thread_priority,
-                    static_cast<unsigned long long>(group.anatomy_episodes));
-        json += first ? "\n" : ",\n";
-        first = false;
-        json += "    {\"os\": \"" + group.os_name + "\", \"workload\": \"" +
-                group.workload_name +
-                "\", \"priority\": " + std::to_string(group.thread_priority) +
-                ",\n     \"episodes\": " + std::to_string(group.anatomy_episodes) +
-                ", \"stage_cycles\": {";
-        for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-          const auto stage = static_cast<obs::AnatomyStage>(s);
-          const sim::Cycles cycles = group.anatomy_stage_cycles[s];
-          json += std::string(s == 0 ? "" : ", ") + "\"" + obs::AnatomyStageName(stage) +
-                  "\": " + std::to_string(cycles);
-          if (cycles > 0 && total > 0) {
-            std::printf("    %-14s %12llu cycles  (%5.1f%%)\n", obs::AnatomyStageName(stage),
-                        static_cast<unsigned long long>(cycles),
-                        100.0 * static_cast<double>(cycles) / static_cast<double>(total));
-          }
-        }
-        json += "}}";
-      }
-      json += first ? "]\n}\n" : "\n  ]\n}\n";
-      WriteTextFile(anatomy_out, json, "anatomy stage totals JSON");
-    }
-    if (sketch) {
-      std::printf("\nQuantile sketch (grid-order merged; deep tail exact):\n");
-      std::printf("  %-16s %-18s %-4s %9s %9s %9s %9s\n", "OS", "workload", "prio",
-                  "p50 ms", "p99 ms", "p99.9 ms", "p99.99 ms");
-      for (const lab::MergedCell& group : result.merged) {
-        std::printf("  %-16s %-18s %-4d %9.3f %9.3f %9.3f %9.3f\n", group.os_name.c_str(),
-                    group.workload_name.c_str(), group.thread_priority,
-                    group.thread_sketch.QuantileMs(0.5), group.thread_sketch.QuantileMs(0.99),
-                    group.thread_sketch.QuantileMs(0.999),
-                    group.thread_sketch.QuantileMs(0.9999));
-      }
-    }
-    if (!trace_out.empty()) {
-      lab::AppendHostTrace(trace_writer, matrix, result);
-      if (trace_writer.WriteFile(trace_out)) {
-        std::printf("wrote Chrome trace (%zu events) to %s\n", trace_writer.event_count(),
-                    trace_out.c_str());
-      } else {
-        std::fprintf(stderr, "wdmlat_run: failed to write trace to %s\n", trace_out.c_str());
-      }
-    }
-    if (!metrics_out.empty()) {
-      WriteTextFile(metrics_out, result.metrics.ToJson(), "metrics JSON");
-    }
-    if (!metrics_csv.empty()) {
-      WriteTextFile(metrics_csv, result.metrics.ToCsv(), "metrics CSV");
-    }
-
-    // Exit contract: 3 = cells failed (structured failures printed above),
-    // 4 = interrupted by --max-cells (journal resumable), 0 = complete.
-    for (const std::string& violation : result.merge_violations) {
-      std::fprintf(stderr, "wdmlat_run: merge audit: %s\n", violation.c_str());
-    }
-    if (!result.failures.empty() || !result.merge_violations.empty()) {
-      std::fprintf(stderr, "wdmlat_run: %zu cell(s) failed out of %zu\n",
-                   result.failures.size(), matrix.cells().size());
-      return 3;
-    }
-    if (result.cells_skipped > 0) {
-      const std::string& journal = resume_path.empty() ? journal_path : resume_path;
-      std::printf("interrupted after %zu cell(s) (--max-cells); %zu skipped%s%s\n",
-                  result.cells_executed, result.cells_skipped,
-                  journal.empty() ? "" : "; resume with --resume=", journal.c_str());
-      return 4;
-    }
-    return 0;
-  }
-
-  lab::LabConfig config;
-  if (os_name == "nt4") {
-    config.os = cores > 1
-                    ? kernel::MakeNt4SmpProfile(cores, dpc_affinity == "migrating")
-                    : kernel::MakeNt4Profile();
-  } else if (os_name == "win98") {
-    config.os = kernel::MakeWin98Profile();
-  } else if (os_name == "w2kbeta") {
-    config.os = kernel::MakeWin2000BetaProfile();
-  } else if (os_name == "nt_smp2") {
-    config.os = kernel::MakeNt4SmpProfile(2, false);
-  } else if (os_name == "nt_smp4") {
-    config.os = kernel::MakeNt4SmpProfile(4, false);
-  } else if (os_name == "nt_smp2_migrate") {
-    config.os = kernel::MakeNt4SmpProfile(2, true);
-  } else if (os_name == "nt_smp4_migrate") {
-    config.os = kernel::MakeNt4SmpProfile(4, true);
-  } else {
-    Usage(("--os=" + os_name).c_str());
-  }
-  if (cores > 1 && os_name != "nt4") {
-    std::fprintf(stderr,
-                 "wdmlat_run: --cores=%d needs --os=nt4 (only the NT kernel "
-                 "model is SMP-capable; the nt_smp* aliases already fix a "
-                 "core count)\n",
-                 cores);
-    return 2;
-  }
-  if (workload_name == "office") {
-    config.stress = workload::OfficeStress();
-  } else if (workload_name == "workstation") {
-    config.stress = workload::WorkstationStress();
-  } else if (workload_name == "games") {
-    config.stress = workload::GamesStress();
-  } else if (workload_name == "web") {
-    config.stress = workload::WebStress();
-  } else if (workload_name == "idle") {
-    config.stress = workload::IdleStress();
-  } else {
-    Usage(("--workload=" + workload_name).c_str());
-  }
-  config.thread_priority = priority;
-  config.stress_minutes = minutes;
-  config.seed = seed;
-  config.options.virus_scanner = scanner;
-  config.options.sound_scheme =
-      sounds ? vmm98::SchemeKind::kDefault : vmm98::SchemeKind::kNoSounds;
-  if (!trace_out.empty()) {
+  if (!f.trace_out.empty()) {
     config.obs.trace_sink = &trace_writer;
   }
-  if (want_metrics) {
+  if (f.want_metrics()) {
     config.obs.metrics = &metrics;
   }
-  config.obs.queue_sample_ms = queue_sample_ms;
-  config.obs.episode_threshold_us = episode_threshold_us;
-  config.obs.anatomy = !anatomy_out.empty();
-  config.obs.sketch = sketch;
+  config.faults = plan;
 
-  if (differential) {
-    std::printf("wdmlat_run: %s, %s, priority %d, %.1f virtual minutes, seed %llu\n",
-                config.os.name.c_str(), config.stress.name.c_str(), priority, minutes,
-                static_cast<unsigned long long>(seed));
-    std::printf("differential A/B: baseline vs. fault plan \"%s\" from the same seed\n\n",
-                fault_plan.name.c_str());
-    const lab::DifferentialReport diff = lab::RunDifferential(config, fault_plan);
-    std::fputs(lab::RenderDifferentialTables(diff).c_str(), stdout);
-    if (!diff_out.empty()) {
-      WriteTextFile(diff_out, lab::DifferentialToJson(diff), "differential JSON");
-    }
-    if (!diff_csv.empty()) {
-      WriteTextFile(diff_csv, lab::DifferentialToCsv(diff), "differential CSV");
-    }
-    return 0;
-  }
-  if (have_faults) {
-    config.faults = &fault_plan;
-  }
-
-  std::printf("wdmlat_run: %s, %s, priority %d, %.1f virtual minutes, seed %llu\n",
-              config.os.name.c_str(), config.stress.name.c_str(), priority, minutes,
-              static_cast<unsigned long long>(seed));
+  PrintCellHeader(f, config);
   const lab::LabReport report = lab::RunLatencyExperiment(config);
-  if (have_faults) {
-    std::printf("fault plan \"%s\": %llu activation(s)\n", fault_plan.name.c_str(),
+  if (plan != nullptr) {
+    std::printf("fault plan \"%s\": %llu activation(s)\n", plan->name.c_str(),
                 static_cast<unsigned long long>(report.fault_activations));
   }
 
-  std::printf("\n%llu samples (%.0f per hour)\n",
-              static_cast<unsigned long long>(report.samples), report.samples_per_hour);
+  std::printf("\n%llu samples (%.0f per hour)\n", static_cast<unsigned long long>(report.samples),
+              report.samples_per_hour);
   auto line = [](const char* name, const stats::LatencyHistogram& hist) {
     std::printf("  %-22s p50 %8.3f  p99 %8.3f  p99.99 %8.3f  max %8.3f ms\n", name,
                 hist.QuantileMs(0.5), hist.QuantileMs(0.99), hist.QuantileMs(0.9999),
@@ -1251,7 +774,7 @@ int main(int argc, char** argv) {
     line("ISR to DPC", report.isr_to_dpc);
   }
 
-  if (worst_cases) {
+  if (f.worst_cases) {
     std::printf("\nExpected worst cases (hourly / daily / weekly, ms) under the %s usage "
                 "model:\n",
                 report.usage.category.c_str());
@@ -1268,33 +791,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (plot) {
+  if (f.plot) {
     std::printf("\n");
     std::vector<report::LatencySeries> series{
         {"DPC interrupt latency", 'D', &report.dpc_interrupt},
         {"thread latency", 'T', &report.thread},
     };
-    std::fputs(report::RenderLatencyLogLog(report.os_name + " / " + report.workload_name,
-                                           series, 0.125, 128.0)
+    std::fputs(report::RenderLatencyLogLog(report.os_name + " / " + report.workload_name, series,
+                                           0.125, 128.0)
                    .c_str(),
                stdout);
   }
 
-  if (!csv_dir.empty()) {
+  if (!f.csv_dir.empty()) {
     const std::string prefix = lab::DefaultCsvPrefix(report);
-    const int files = lab::WriteReportCsv(report, csv_dir, prefix);
-    std::printf("\nwrote %d CSV files to %s/%s_*.csv\n", files, csv_dir.c_str(),
+    const int files = lab::WriteReportCsv(report, f.csv_dir, prefix);
+    std::printf("\nwrote %d CSV files to %s/%s_*.csv\n", files, f.csv_dir.c_str(),
                 prefix.c_str());
   }
 
-  if (episode_threshold_us > 0.0) {
+  if (f.episode_threshold_us > 0.0) {
     std::printf("\n%s", obs::RenderAttributionReport(report.episodes).c_str());
   }
-  if (!anatomy_out.empty()) {
+  if (!f.anatomy_out.empty()) {
     std::printf("\n%s", obs::RenderAnatomyReport(report.anatomy).c_str());
-    WriteTextFile(anatomy_out, obs::AnatomyToJson(report.anatomy), "anatomy JSON");
+    WriteTextFile(f.anatomy_out, obs::AnatomyToJson(report.anatomy), "anatomy JSON");
   }
-  if (sketch) {
+  if (f.sketch) {
     const stats::QuantileSketch& qs = report.thread_sketch;
     std::printf("\nQuantile sketch (thread latency, %llu samples; deep tail exact):\n",
                 static_cast<unsigned long long>(qs.count()));
@@ -1302,19 +825,307 @@ int main(int argc, char** argv) {
                 qs.QuantileMs(0.5), qs.QuantileMs(0.99), qs.QuantileMs(0.999),
                 qs.QuantileMs(0.9999), qs.max_ms());
   }
-  if (!trace_out.empty()) {
-    if (trace_writer.WriteFile(trace_out)) {
+  if (!f.trace_out.empty()) {
+    if (trace_writer.WriteFile(f.trace_out)) {
       std::printf("wrote Chrome trace (%zu events) to %s\n", trace_writer.event_count(),
-                  trace_out.c_str());
+                  f.trace_out.c_str());
     } else {
-      std::fprintf(stderr, "wdmlat_run: failed to write trace to %s\n", trace_out.c_str());
+      std::fprintf(stderr, "wdmlat_run: failed to write trace to %s\n", f.trace_out.c_str());
     }
   }
-  if (!metrics_out.empty()) {
-    WriteTextFile(metrics_out, metrics.ToJson(), "metrics JSON");
+  if (!f.metrics_out.empty()) {
+    WriteTextFile(f.metrics_out, metrics.ToJson(), "metrics JSON");
   }
-  if (!metrics_csv.empty()) {
-    WriteTextFile(metrics_csv, metrics.ToCsv(), "metrics CSV");
+  if (!f.metrics_csv.empty()) {
+    WriteTextFile(f.metrics_csv, metrics.ToCsv(), "metrics CSV");
   }
   return 0;
+}
+
+// --- Fleet mode ----------------------------------------------------------------
+
+lab::Fleet LoadFleet(const std::string& path) {
+  lab::FleetSpec spec;
+  std::string error;
+  if (!lab::LoadFleetSpec(path, &spec, &error)) {
+    Die("--fleet=" + path + ": " + error);
+  }
+  lab::Fleet fleet(std::move(spec));
+  if (!fleet.error().empty()) {
+    Die("--fleet=" + path + ": " + fleet.error());
+  }
+  return fleet;
+}
+
+// Worker: run shard K of N into the shard record file and exit.
+int RunFleetWorker(const Flags& f, const lab::Fleet& fleet) {
+  const std::size_t slash = f.shard.find('/');
+  if (slash == std::string::npos) {
+    Die("--shard wants K/N, e.g. --shard=0/4");
+  }
+  const std::uint64_t shard = ParseU64Flag("--shard", f.shard.substr(0, slash));
+  const std::uint64_t shards = ParseU64Flag("--shard", f.shard.substr(slash + 1));
+  if (shards == 0 || shard >= shards) {
+    Die("--shard=" + f.shard + " wants 0 <= K < N");
+  }
+  lab::FleetShardOptions options;
+  options.shard = static_cast<std::size_t>(shard);
+  options.shards = static_cast<std::size_t>(shards);
+  options.jobs = f.jobs;
+  options.out_path = f.shard_out.empty()
+                         ? lab::FleetShardPath(f.fleet_out, options.shard, options.shards)
+                         : f.shard_out;
+  options.supervision.cell_timeout_ms = f.cell_timeout_ms;
+  options.supervision.max_attempts = f.cell_retries;
+  options.audit_every_s = f.audit_every_s;
+  options.cell_lo = f.cell_lo;
+  options.cell_hi = f.cell_hi;
+  options.poison_cell = f.poison_cell;
+  options.chaos_kill_after_cells = f.chaos_kill_after_cells;
+  options.chaos_delay_ms = f.chaos_delay_ms;
+  if (!f.quarantine.empty()) {
+    std::vector<lab::FleetQuarantineEntry> manifest;
+    std::string error;
+    if (!lab::LoadFleetQuarantine(f.quarantine, &manifest, &error)) {
+      Die("--quarantine=" + f.quarantine + ": " + error);
+    }
+    for (const lab::FleetQuarantineEntry& entry : manifest) {
+      options.skip_cells.push_back(entry.cell);
+    }
+  }
+  const lab::FleetShardResult result = lab::RunFleetShard(fleet, options);
+  for (const std::string& warning : result.warnings) {
+    std::fprintf(stderr, "wdmlat_run: shard %llu: warning: %s\n",
+                 static_cast<unsigned long long>(shard), warning.c_str());
+  }
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "wdmlat_run: shard %llu: %s\n", static_cast<unsigned long long>(shard),
+                 result.error.c_str());
+    return 2;
+  }
+  for (const runtime::CellFailure& failure : result.failures) {
+    std::fprintf(stderr, "wdmlat_run: shard %llu: %s\n", static_cast<unsigned long long>(shard),
+                 failure.Render().c_str());
+  }
+  std::printf("shard %llu/%llu: %llu cells (%llu restored, %llu executed) in %.2f s\n",
+              static_cast<unsigned long long>(shard), static_cast<unsigned long long>(shards),
+              static_cast<unsigned long long>(result.cells_total),
+              static_cast<unsigned long long>(result.cells_restored),
+              static_cast<unsigned long long>(result.cells_executed), result.wall_seconds);
+  return result.failures.empty() ? 0 : 3;
+}
+
+// Orchestrator: spawn one worker process per shard (crash isolation — a
+// dead worker costs one shard's tail, and a re-run resumes it), then
+// stream-merge the shard record files.
+int RunFleetOrchestrator(const Flags& f, const lab::Fleet& fleet, const char* argv0) {
+  if (f.shards == 0) {
+    Die("--shards must be at least 1");
+  }
+  const std::uint64_t shards = std::min<std::uint64_t>(f.shards, fleet.cell_count());
+  const std::string& out_dir = f.fleet_out;
+  ::mkdir(out_dir.c_str(), 0777);  // EEXIST is fine; open errors surface below
+  std::string self = runtime::SelfExecutable();
+  if (self.empty()) {
+    self = argv0;
+  }
+
+  // The quarantine manifest survives re-runs: cells isolated by a previous
+  // invocation stay skipped, so resume converges instead of re-tripping.
+  const std::string quarantine_manifest = out_dir + "/quarantine.jsonl";
+  std::vector<lab::FleetQuarantineEntry> quarantined;
+  if (std::ifstream(quarantine_manifest)) {
+    std::string error;
+    if (!lab::LoadFleetQuarantine(quarantine_manifest, &quarantined, &error)) {
+      Die(quarantine_manifest + ": " + error);
+    }
+  }
+
+  std::printf(
+      "wdmlat_run --fleet: \"%s\", %llu cells in %zu cohort(s), fingerprint %016llx,\n"
+      "%llu shard process(es) (max %d concurrent) -> %s\n\n",
+      fleet.spec().name.c_str(), static_cast<unsigned long long>(fleet.cell_count()),
+      fleet.spec().cohorts.size(), static_cast<unsigned long long>(fleet.fingerprint()),
+      static_cast<unsigned long long>(shards), f.jobs, out_dir.c_str());
+
+  // Supervised fleet: per-shard liveness deadlines, bounded retry with
+  // backoff, poisoned-cell bisection and (optionally) straggler
+  // speculation and the deterministic host-chaos harness. --jobs bounds
+  // concurrent worker *processes*; each worker runs its shard
+  // single-threaded (the shard file contract is per-process anyway).
+  const lab::HostChaos host_chaos(f.chaos_seed.value_or(0));
+  runtime::FleetSupervisorOptions sup;
+  sup.shards = static_cast<std::size_t>(shards);
+  sup.cell_count = static_cast<std::size_t>(fleet.cell_count());
+  sup.max_parallel = static_cast<std::size_t>(f.jobs);
+  sup.shard_timeout_s = f.shard_timeout_s;
+  sup.max_attempts = f.shard_retries;
+  sup.speculate = f.speculate;
+  if (!quarantined.empty()) {
+    sup.quarantine_path = quarantine_manifest;
+  }
+  sup.shard_path = [&](std::size_t k) {
+    return lab::FleetShardPath(out_dir, k, static_cast<std::size_t>(shards));
+  };
+  sup.cell_seed = [&](std::size_t cell) { return fleet.CellAt(cell).seed; };
+  if (f.chaos_seed.has_value()) {
+    sup.chaos = [&](std::size_t k, int attempt) { return host_chaos.PlanFor(k, attempt); };
+  }
+  sup.spawn = [&](const runtime::FleetWorkerRequest& request, pid_t* pid,
+                  std::string* spawn_error) {
+    runtime::ShardProcess process;
+    process.argv = {self, "--fleet=" + f.fleet,
+                    "--shard=" + std::to_string(request.shard) + "/" + std::to_string(shards),
+                    "--fleet-out=" + out_dir, "--jobs=1"};
+    if (f.cell_timeout_ms > 0.0) {
+      process.argv.push_back(DoubleArg("--cell-timeout-ms", f.cell_timeout_ms));
+    }
+    if (f.cell_retries != 3) {
+      process.argv.push_back("--cell-retries=" + std::to_string(f.cell_retries));
+    }
+    if (f.audit_every_s > 0.0) {
+      process.argv.push_back(DoubleArg("--audit-every-s", f.audit_every_s));
+    }
+    if (request.cell_lo != 0) {
+      process.argv.push_back("--cell-lo=" + std::to_string(request.cell_lo));
+    }
+    if (request.cell_hi != 0 && request.cell_hi < fleet.cell_count()) {
+      process.argv.push_back("--cell-hi=" + std::to_string(request.cell_hi));
+    }
+    if (!request.quarantine_path.empty()) {
+      process.argv.push_back("--quarantine=" + request.quarantine_path);
+    }
+    if (request.out_path !=
+        lab::FleetShardPath(out_dir, request.shard, static_cast<std::size_t>(shards))) {
+      process.argv.push_back("--shard-out=" + request.out_path);
+    }
+    if (f.poison_cell >= 0) {
+      process.argv.push_back("--poison-cell=" + std::to_string(f.poison_cell));
+    }
+    if (request.chaos.kill_after_cells > 0) {
+      process.argv.push_back("--chaos-kill-after-cells=" +
+                             std::to_string(request.chaos.kill_after_cells));
+    }
+    if (request.chaos.delay_ms > 0.0) {
+      process.argv.push_back(DoubleArg("--chaos-delay-ms", request.chaos.delay_ms));
+    }
+    return runtime::SpawnShardProcess(process, pid, spawn_error);
+  };
+  sup.on_quarantine = [&](const runtime::QuarantinedCell& cell) {
+    lab::FleetQuarantineEntry entry;
+    entry.cell = cell.cell;
+    entry.seed = cell.seed;
+    entry.taxonomy = runtime::FailureKindName(cell.kind);
+    entry.attempts = cell.attempts;
+    quarantined.push_back(entry);
+    std::sort(quarantined.begin(), quarantined.end(),
+              [](const lab::FleetQuarantineEntry& a, const lab::FleetQuarantineEntry& b) {
+                return a.cell < b.cell;
+              });
+    std::string error;
+    if (!lab::SaveFleetQuarantine(quarantine_manifest, quarantined, &error)) {
+      std::fprintf(stderr, "wdmlat_run: quarantine manifest: %s\n", error.c_str());
+    }
+    return quarantine_manifest;
+  };
+  sup.stitch = [&](std::size_t k, const std::string& main_path, const std::string& spec_path,
+                   std::string* stitch_error) {
+    return lab::StitchShardFiles(fleet, k, static_cast<std::size_t>(shards), main_path,
+                                 spec_path, stitch_error);
+  };
+  sup.log = [](const std::string& line) {
+    std::fprintf(stderr, "wdmlat_run: supervisor: %s\n", line.c_str());
+  };
+  const runtime::FleetSupervisorResult supervision = runtime::SuperviseFleet(sup);
+  if (supervision.spawns > shards || supervision.heartbeat_kills > 0 ||
+      supervision.bisect_probes > 0 || supervision.speculative_spawns > 0) {
+    std::printf(
+        "supervisor: %llu spawn(s), %llu retr%s, %llu heartbeat kill(s), "
+        "%llu bisect probe(s), %llu speculative (%llu won)\n",
+        static_cast<unsigned long long>(supervision.spawns),
+        static_cast<unsigned long long>(supervision.retries),
+        supervision.retries == 1 ? "y" : "ies",
+        static_cast<unsigned long long>(supervision.heartbeat_kills),
+        static_cast<unsigned long long>(supervision.bisect_probes),
+        static_cast<unsigned long long>(supervision.speculative_spawns),
+        static_cast<unsigned long long>(supervision.speculative_wins));
+  }
+  if (!supervision.ok()) {
+    std::fprintf(stderr, "wdmlat_run: %s\n", supervision.error.c_str());
+    std::fprintf(stderr,
+                 "wdmlat_run: fleet workers failed; completed shard records are kept — "
+                 "re-run the same command to resume\n");
+    return 3;
+  }
+
+  std::vector<std::string> shard_paths;
+  for (std::uint64_t k = 0; k < shards; ++k) {
+    shard_paths.push_back(sup.shard_path(static_cast<std::size_t>(k)));
+  }
+  // Always merge degraded: quarantined cells become explicit coverage gaps
+  // in fleet.json instead of a fatal merge error, and a damaged record that
+  // slipped past the supervisor is quarantined rather than sinking the run.
+  lab::FleetMergeOptions merge_options;
+  merge_options.quarantined = quarantined;
+  merge_options.allow_degraded = true;
+  lab::FleetReport report;
+  std::string error;
+  if (!lab::MergeFleetShards(fleet, shard_paths, merge_options, &report, &error)) {
+    std::fprintf(stderr, "wdmlat_run: fleet merge: %s\n", error.c_str());
+    return 3;
+  }
+  for (const std::string& warning : report.merge_warnings) {
+    std::fprintf(stderr, "wdmlat_run: merge: %s\n", warning.c_str());
+  }
+  WriteTextFile(out_dir + "/fleet.json", lab::FleetReportToJson(report), "fleet report JSON");
+
+  std::printf("\nMerged cohorts (grid-order fold; bit-identical for any --shards/--jobs):\n");
+  std::printf("  %-16s %-8s %-4s %9s %11s %9s %9s %9s %9s\n", "cohort", "os", "prio", "cells",
+              "samples", "p50 ms", "p99 ms", "p99.9 ms", "max ms");
+  for (const lab::FleetCohortReport& cohort : report.cohorts) {
+    std::printf("  %-16s %-8s %-4d %9llu %11llu %9.3f %9.3f %9.3f %9.3f\n", cohort.name.c_str(),
+                cohort.os.c_str(), cohort.priority, static_cast<unsigned long long>(cohort.cells),
+                static_cast<unsigned long long>(cohort.counters.samples),
+                cohort.thread.QuantileMs(0.5), cohort.thread.QuantileMs(0.99),
+                cohort.thread.QuantileMs(0.999), cohort.thread.max_ms());
+  }
+  if (report.cells_quarantined > 0) {
+    std::printf("\nQUARANTINED %llu cell(s) — coverage is degraded (manifest: %s):\n",
+                static_cast<unsigned long long>(report.cells_quarantined),
+                quarantine_manifest.c_str());
+    for (const lab::FleetQuarantineEntry& entry : report.quarantine) {
+      std::printf("  cell %llu (seed %llu): %s after %d attempt(s)\n",
+                  static_cast<unsigned long long>(entry.cell),
+                  static_cast<unsigned long long>(entry.seed), entry.taxonomy.c_str(),
+                  entry.attempts);
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Flags flags = ParseFlags(argc, argv);
+  Validate(flags);
+  try {
+    if (!flags.fleet.empty()) {
+      const lab::Fleet fleet = LoadFleet(flags.fleet);
+      return flags.shard.empty() ? RunFleetOrchestrator(flags, fleet, argv[0])
+                                 : RunFleetWorker(flags, fleet);
+    }
+    const std::optional<fault::FaultPlan> plan =
+        flags.faults.empty() ? std::nullopt : std::optional(LoadFaults(flags.faults));
+    if (flags.matrix) {
+      return RunMatrix(flags, plan ? &*plan : nullptr);
+    }
+    const lab::LabConfig config = CellConfig(flags);
+    return flags.differential ? RunDifferentialCell(flags, config, *plan)
+                              : RunCell(flags, config, plan ? &*plan : nullptr);
+  } catch (const std::exception& e) {
+    // A failed invariant audit (--audit-every-s) or any other cell failure:
+    // the matrix names the cell in the message.
+    std::fprintf(stderr, "wdmlat_run: %s\n", e.what());
+    return 3;
+  }
 }

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "src/kernel/profile.h"
+#include "src/kernel/thread.h"
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
 #include "src/runtime/thread_pool.h"
@@ -42,6 +43,9 @@ using report_json::ReadU64;
 constexpr const char* kRecordFormat = "wdmlat-fleet-cell";
 constexpr const char* kReportFormat = "wdmlat-fleet-report";
 constexpr int kFormatVersion = 1;
+// Integers that travel as JSON numbers (spec counts and seeds, cohort
+// indices) are exact in a double below 2^53.
+constexpr double kMaxExactInteger = 9007199254740992.0;
 
 // Domain-separation tags for the hash chains: the cell seed feeds the
 // simulation, the draw seed feeds the per-member priors. Distinct tags keep
@@ -50,44 +54,6 @@ constexpr std::uint64_t kCellSeedTag = 0x666c656574636c6cull;   // "fleetcll"
 constexpr std::uint64_t kDrawSeedTag = 0x666c656574647277ull;   // "fleetdrw"
 
 std::string U64String(std::uint64_t value) { return std::to_string(value); }
-
-bool OsProfileByName(std::string_view name, kernel::KernelProfile* out) {
-  if (name == "nt4") {
-    *out = kernel::MakeNt4Profile();
-  } else if (name == "win98") {
-    *out = kernel::MakeWin98Profile();
-  } else if (name == "w2kbeta") {
-    *out = kernel::MakeWin2000BetaProfile();
-  } else if (name == "nt_smp2") {
-    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/false);
-  } else if (name == "nt_smp4") {
-    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/false);
-  } else if (name == "nt_smp2_migrate") {
-    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/true);
-  } else if (name == "nt_smp4_migrate") {
-    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/true);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool WorkloadByName(std::string_view name, workload::StressProfile* out) {
-  if (name == "office") {
-    *out = workload::OfficeStress();
-  } else if (name == "workstation") {
-    *out = workload::WorkstationStress();
-  } else if (name == "games") {
-    *out = workload::GamesStress();
-  } else if (name == "web") {
-    *out = workload::WebStress();
-  } else if (name == "idle") {
-    *out = workload::IdleStress();
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // Hardware-speed model: the simulated cycle rate is a compile-time constant
 // (sim::kCpuHz = 300 MHz), so a member's sampled clock scales the kernel
@@ -162,6 +128,44 @@ std::string ValidateCohort(const FleetCohort& cohort, std::size_t index) {
 }
 
 }  // namespace
+
+bool OsProfileByName(std::string_view name, kernel::KernelProfile* out) {
+  if (name == "nt4") {
+    *out = kernel::MakeNt4Profile();
+  } else if (name == "win98") {
+    *out = kernel::MakeWin98Profile();
+  } else if (name == "w2kbeta") {
+    *out = kernel::MakeWin2000BetaProfile();
+  } else if (name == "nt_smp2") {
+    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/false);
+  } else if (name == "nt_smp4") {
+    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/false);
+  } else if (name == "nt_smp2_migrate") {
+    *out = kernel::MakeNt4SmpProfile(2, /*migrating_dpcs=*/true);
+  } else if (name == "nt_smp4_migrate") {
+    *out = kernel::MakeNt4SmpProfile(4, /*migrating_dpcs=*/true);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool WorkloadByName(std::string_view name, workload::StressProfile* out) {
+  if (name == "office") {
+    *out = workload::OfficeStress();
+  } else if (name == "workstation") {
+    *out = workload::WorkstationStress();
+  } else if (name == "games") {
+    *out = workload::GamesStress();
+  } else if (name == "web") {
+    *out = workload::WebStress();
+  } else if (name == "idle") {
+    *out = workload::IdleStress();
+  } else {
+    return false;
+  }
+  return true;
+}
 
 std::uint64_t FleetCellSeed(std::uint64_t master_seed, std::size_t cohort,
                             std::uint64_t member) {
@@ -307,115 +311,123 @@ LabConfig Fleet::CellConfig(const FleetCell& cell) const {
 
 // --- Spec JSON ---------------------------------------------------------------
 
+namespace {
+
+constexpr const char* kCohortFields[] = {
+    "name", "os", "workloads", "workload_weights", "priority", "count",
+    "stress_minutes", "warmup_seconds", "pit_hz", "speed_mhz", "fault_plan",
+    "fault_prob", "sketch", "episode_threshold_us", "virus_scanner"};
+
+// One cohort object at `in`, members in any order, every one optional.
+bool ReadCohort(obs::JsonCursor& in, FleetCohort* cohort) {
+  return ReadFields(in, kCohortFields, 0, "cohort", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return in.ReadString(&cohort->name);
+      case 1:
+        return in.ReadString(&cohort->os);
+      case 2:
+        cohort->workloads.clear();
+        return ReadArray(in, [&] { return in.ReadString(&cohort->workloads.emplace_back()); });
+      case 3:
+        return ReadArray(in, [&] {
+          return in.ReadNumber(&cohort->workload_weights.emplace_back());
+        });
+      case 4: {
+        in.Peek();
+        const std::size_t at = in.offset();
+        std::uint64_t priority = 0;
+        if (!ReadIndex(in, "priority", kernel::kMaxPriority + 1.0, &priority)) {
+          return false;
+        }
+        cohort->priority = static_cast<int>(priority);
+        return cohort->priority >= kernel::kMinRealTimePriority ||
+               in.FailAt(at, "field \"priority\" must be a real-time priority (16..31)");
+      }
+      case 5:
+        return ReadIndex(in, "count", kMaxExactInteger, &cohort->count);
+      case 6:
+        return in.ReadNumber(&cohort->stress_minutes);
+      case 7:
+        return in.ReadNumber(&cohort->warmup_seconds);
+      case 8:
+        return in.ReadNumber(&cohort->pit_hz);
+      case 9:
+        if (in.Peek() == obs::JsonCursor::Kind::kNumber) {
+          const bool ok = in.ReadNumber(&cohort->speed_mhz_lo);
+          cohort->speed_mhz_hi = cohort->speed_mhz_lo;
+          return ok;
+        }
+        if (in.Peek() != obs::JsonCursor::Kind::kArray) {
+          return in.Fail("field \"speed_mhz\" must be a number or [lo, hi]");
+        }
+        return ReadFixedArray(in, 2, "speed_mhz", [&](std::size_t i) {
+          return in.ReadNumber(i == 0 ? &cohort->speed_mhz_lo : &cohort->speed_mhz_hi);
+        });
+      case 10:
+        return in.ReadString(&cohort->fault_plan);
+      case 11:
+        return in.ReadNumber(&cohort->fault_prob);
+      case 12:
+        return in.ReadBool(&cohort->sketch);
+      case 13:
+        return in.ReadNumber(&cohort->episode_threshold_us);
+      default:
+        return in.ReadBool(&cohort->options.virus_scanner);
+    }
+  });
+}
+
+}  // namespace
+
 bool FleetSpecFromJson(std::string_view text, FleetSpec* spec, std::string* error) {
   *spec = FleetSpec{};
-  const obs::JsonParseResult parsed = obs::ParseJson(text);
-  if (!parsed.valid) {
-    if (error != nullptr) {
-      std::ostringstream message;
-      message << "fleet spec JSON error at line " << parsed.error_line << ", column "
-              << parsed.error_column << ": " << parsed.error;
-      *error = message.str();
-    }
-    return false;
-  }
-  const obs::JsonValue& root = parsed.value;
-  if (!root.is_object()) {
-    if (error != nullptr) {
-      *error = "fleet spec must be a JSON object";
-    }
-    return false;
-  }
+  static constexpr const char* kSpecFields[] = {"name", "master_seed", "cohorts"};
   FleetSpec result;
-  result.name = root.StringOr("name", "fleet");
-  result.master_seed = static_cast<std::uint64_t>(root.NumberOr("master_seed", 1999.0));
-  const obs::JsonValue* cohorts = root.Find("cohorts");
-  if (cohorts == nullptr || !cohorts->is_array() || cohorts->items().empty()) {
+  obs::JsonCursor in(text);
+  std::uint64_t cells = 0;
+  const bool read = ReadFields(in, kSpecFields, 0x4, "fleet spec", [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        return in.ReadString(&result.name);
+      case 1:
+        return ReadIndex(in, "master_seed", kMaxExactInteger, &result.master_seed);
+      default: {
+        in.Peek();  // offsets below point at a value, not the whitespace before it
+        const std::size_t at = in.offset();
+        const bool cohorts = ReadArray(in, [&] {
+          in.Peek();
+          const std::size_t cohort_at = in.offset();
+          FleetCohort cohort;
+          cohort.name = "cohort" + std::to_string(result.cohorts.size());
+          if (!ReadCohort(in, &cohort)) {
+            return false;
+          }
+          const std::string problem = ValidateCohort(cohort, result.cohorts.size());
+          if (!problem.empty()) {
+            return in.FailAt(cohort_at, problem);
+          }
+          cells += cohort.count;
+          if (cells >= kMaxExactInteger) {
+            return in.FailAt(cohort_at, "fleet spec holds 2^53 cells or more");
+          }
+          result.cohorts.push_back(std::move(cohort));
+          return true;
+        });
+        return cohorts && (!result.cohorts.empty() ||
+                           in.FailAt(at, "fleet spec needs a non-empty cohorts array"));
+      }
+    }
+  });
+  if (!read || !in.Finish()) {
     if (error != nullptr) {
-      *error = "fleet spec needs a non-empty cohorts array";
+      std::size_t line = 0;
+      std::size_t column = 0;
+      in.ErrorLineColumn(&line, &column);
+      *error = "fleet spec at line " + std::to_string(line) + ", column " +
+               std::to_string(column) + ": " + in.error();
     }
     return false;
-  }
-  for (const obs::JsonValue& entry : cohorts->items()) {
-    if (!entry.is_object()) {
-      if (error != nullptr) {
-        *error = "cohort entries must be objects";
-      }
-      return false;
-    }
-    FleetCohort cohort;
-    cohort.name = entry.StringOr("name", "cohort" + std::to_string(result.cohorts.size()));
-    cohort.os = entry.StringOr("os", cohort.os);
-    const obs::JsonValue* workloads = entry.Find("workloads");
-    if (workloads != nullptr) {
-      if (!workloads->is_array()) {
-        if (error != nullptr) {
-          *error = cohort.name + ": workloads must be an array of names";
-        }
-        return false;
-      }
-      cohort.workloads.clear();
-      for (const obs::JsonValue& w : workloads->items()) {
-        if (!w.is_string()) {
-          if (error != nullptr) {
-            *error = cohort.name + ": workloads must be strings";
-          }
-          return false;
-        }
-        cohort.workloads.push_back(w.as_string());
-      }
-    }
-    const obs::JsonValue* weights = entry.Find("workload_weights");
-    if (weights != nullptr) {
-      if (!weights->is_array()) {
-        if (error != nullptr) {
-          *error = cohort.name + ": workload_weights must be an array of numbers";
-        }
-        return false;
-      }
-      for (const obs::JsonValue& w : weights->items()) {
-        if (!w.is_number()) {
-          if (error != nullptr) {
-            *error = cohort.name + ": workload_weights must be numbers";
-          }
-          return false;
-        }
-        cohort.workload_weights.push_back(w.as_number());
-      }
-    }
-    cohort.priority = static_cast<int>(entry.NumberOr("priority", 28.0));
-    cohort.count = static_cast<std::uint64_t>(entry.NumberOr("count", 1.0));
-    cohort.stress_minutes = entry.NumberOr("stress_minutes", cohort.stress_minutes);
-    cohort.warmup_seconds = entry.NumberOr("warmup_seconds", cohort.warmup_seconds);
-    cohort.pit_hz = entry.NumberOr("pit_hz", cohort.pit_hz);
-    const obs::JsonValue* speed = entry.Find("speed_mhz");
-    if (speed != nullptr) {
-      if (speed->is_number()) {
-        cohort.speed_mhz_lo = cohort.speed_mhz_hi = speed->as_number();
-      } else if (speed->is_array() && speed->items().size() == 2 &&
-                 speed->items()[0].is_number() && speed->items()[1].is_number()) {
-        cohort.speed_mhz_lo = speed->items()[0].as_number();
-        cohort.speed_mhz_hi = speed->items()[1].as_number();
-      } else {
-        if (error != nullptr) {
-          *error = cohort.name + ": speed_mhz must be a number or [lo, hi]";
-        }
-        return false;
-      }
-    }
-    cohort.fault_plan = entry.StringOr("fault_plan", "");
-    cohort.fault_prob = entry.NumberOr("fault_prob", 0.0);
-    cohort.sketch = entry.BoolOr("sketch", false);
-    cohort.episode_threshold_us = entry.NumberOr("episode_threshold_us", 0.0);
-    cohort.options.virus_scanner = entry.BoolOr("virus_scanner", false);
-    const std::string problem = ValidateCohort(cohort, result.cohorts.size());
-    if (!problem.empty()) {
-      if (error != nullptr) {
-        *error = problem;
-      }
-      return false;
-    }
-    result.cohorts.push_back(std::move(cohort));
   }
   *spec = std::move(result);
   return true;
@@ -488,8 +500,6 @@ constexpr const char* kPayloadFields[] = {
     "anatomy_stage_cycles", "histograms",   "thread_sketch"};
 constexpr unsigned kPayloadRequired = 0x3ff;
 constexpr const char* kRecordHistograms[] = {"thread", "dpc_interrupt"};
-// Cohort indices are exact in a double up to 2^53.
-constexpr double kMaxCohortIndex = 9007199254740992.0;
 
 bool ReadPayload(obs::JsonCursor& in, FleetCellRecord* record) {
   return ReadFields(in, kPayloadFields, kPayloadRequired, "record payload", [&](std::size_t field) {
@@ -508,7 +518,7 @@ bool ReadPayload(obs::JsonCursor& in, FleetCellRecord* record) {
       }
       case 2: {
         std::uint64_t cohort = 0;
-        const bool ok = ReadIndex(in, "cohort", kMaxCohortIndex, &cohort);
+        const bool ok = ReadIndex(in, "cohort", kMaxExactInteger, &cohort);
         record->cohort = static_cast<std::size_t>(cohort);
         return ok;
       }
@@ -549,6 +559,8 @@ std::string FleetRecordToLine(const FleetCellRecord& record) {
   AppendU64(out, record.index);
   out += "\", \"seed\": \"";
   AppendU64(out, record.seed);
+  out += "\", \"fingerprint\": \"";
+  AppendU64(out, record.fingerprint);
   out += "\", \"checksum\": \"";
   AppendU64(out, Fnv1a64(payload));
   out += "\", \"payload\": \"";
@@ -564,19 +576,22 @@ std::string FleetRecordToLine(const FleetCellRecord& record) {
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record,
                          std::string* error) {
   *record = FleetCellRecord{};
-  static constexpr const char* kLineFields[] = {"cell", "seed", "checksum", "payload"};
+  static constexpr const char* kLineFields[] = {"cell", "seed", "fingerprint", "checksum",
+                                                "payload"};
   thread_local std::string payload;
   FleetCellRecord result;
   std::uint64_t checksum = 0;
   obs::JsonCursor line_in(line);
   const bool line_read =
-      ReadFields(line_in, kLineFields, 0xf, "record line", [&](std::size_t field) {
+      ReadFields(line_in, kLineFields, 0x1f, "record line", [&](std::size_t field) {
         switch (field) {
           case 0:
             return ReadU64(line_in, "cell", &result.index);
           case 1:
             return ReadU64(line_in, "seed", &result.seed);
           case 2:
+            return ReadU64(line_in, "fingerprint", &result.fingerprint);
+          case 3:
             return ReadU64(line_in, "checksum", &checksum);
           default:
             return line_in.ReadString(&payload);
@@ -631,12 +646,25 @@ std::string FleetShardPath(const std::string& dir, std::size_t shard, std::size_
 
 namespace {
 
-FleetCellRecord MakeRecord(const FleetCell& cell, const LabConfig& config,
+// Why a verified record for an in-range cell cannot stand for that cell
+// under `fleet`'s spec, or nullptr when it can.
+const char* StaleRecord(const Fleet& fleet, const FleetCellRecord& record) {
+  if (record.seed != fleet.CellAt(record.index).seed) {
+    return "record seed mismatch";
+  }
+  if (record.fingerprint != fleet.fingerprint()) {
+    return "record written under another spec";
+  }
+  return nullptr;
+}
+
+FleetCellRecord MakeRecord(const Fleet& fleet, const FleetCell& cell, const LabConfig& config,
                            const LabReport& report) {
   FleetCellRecord record;
   record.index = cell.index;
   record.cohort = cell.cohort;
   record.seed = cell.seed;
+  record.fingerprint = fleet.fingerprint();
   record.samples = report.samples;
   // Same recovery the matrix merge uses: total samples over the measured
   // rate gives the driver's true stress-hours, falling back to the nominal
@@ -819,10 +847,9 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
                                     " does not belong to this shard; dropped");
           continue;
         }
-        const FleetCell cell = fleet.CellAt(record.index);
-        if (record.seed != cell.seed) {
-          result.warnings.push_back("cell " + std::to_string(record.index) +
-                                    ": record seed mismatch; re-running");
+        if (const char* stale = StaleRecord(fleet, record)) {
+          result.warnings.push_back("cell " + std::to_string(record.index) + ": " + stale +
+                                    "; re-running");
           continue;
         }
         restored.push_back(record.index);
@@ -885,7 +912,7 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
         }
         if (record.index >= fleet_ptr->cell_count() ||
             record.index % opts->shards != opts->shard ||
-            record.seed != fleet_ptr->CellAt(record.index).seed) {
+            StaleRecord(*fleet_ptr, record) != nullptr) {
           continue;
         }
         *line = std::move(candidate);
@@ -924,8 +951,10 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
       if (watchdog.armed()) {
         config.supervision.watchdog = &watchdog;
       }
+      config.supervision.audit_every_s = options.audit_every_s;
+      config.supervision.audit_at_end = options.audit_every_s > 0.0;
       const LabReport report = runner.Run(config);
-      line = FleetRecordToLine(MakeRecord(cell, config, report));
+      line = FleetRecordToLine(MakeRecord(fleet, cell, config, report));
     };
     const std::optional<runtime::CellFailure> failure =
         supervisor.RunCell(static_cast<std::size_t>(index), cell.seed, body);
@@ -1098,7 +1127,7 @@ bool StitchShardFiles(const Fleet& fleet, std::size_t shard, std::size_t shards,
         continue;
       }
       if (record.index >= fleet.cell_count() || record.index % shards != shard ||
-          record.seed != fleet.CellAt(record.index).seed) {
+          StaleRecord(fleet, record) != nullptr) {
         continue;
       }
       lines.emplace(record.index, line);
@@ -1306,18 +1335,21 @@ bool MergeFleetShards(const Fleet& fleet, const std::vector<std::string>& shard_
     FleetCellRecord record = std::move(buffered[k].record);
     buffered[k].has = false;
     const FleetCell cell = fleet.CellAt(index);
-    if (record.seed != cell.seed || record.cohort != cell.cohort) {
+    const bool seed_mismatch = record.seed != cell.seed || record.cohort != cell.cohort;
+    if (seed_mismatch || record.fingerprint != fleet.fingerprint()) {
       if (!degraded) {
-        return fail("record seed/cohort does not match this spec");
+        return fail(seed_mismatch ? "record seed/cohort does not match this spec"
+                                  : "record was written under another spec (fingerprint " +
+                                        std::to_string(record.fingerprint) + ")");
       }
       FleetQuarantineEntry entry;
       entry.cell = index;
       entry.seed = cell.seed;
       entry.cohort = cell.cohort;
-      entry.taxonomy = "seed_mismatch";
+      entry.taxonomy = seed_mismatch ? "seed_mismatch" : "spec_mismatch";
       entry.attempts = 1;
       warn("cell " + std::to_string(index) + " (shard " + std::to_string(k) +
-           ") quarantined by degraded merge: seed_mismatch");
+           ") quarantined by degraded merge: " + entry.taxonomy);
       add_quarantine(std::move(entry));
       continue;
     }

@@ -14,8 +14,14 @@
 // supervised path, writing one compact JSONL record per cell — thread + DPC
 // histograms, optional sketch, anatomy stage totals, counters — in global
 // cell-index order (a bounded reorder buffer absorbs out-of-order
-// completions). Workers resume for free: verified records already in the
-// output file are kept and only missing cells re-run.
+// completions). Every record carries the fingerprint of the spec that
+// wrote it. Workers resume for free: records already in the output file
+// that verify against this spec are kept and only missing or stale cells
+// re-run.
+//
+// The fleet is the repo's one durable run path: a paper grid that must
+// survive crashes runs as one cohort per (os, workload, priority) with
+// `count` set to the trial count (EXPERIMENTS.md "Supervised runs").
 //
 // MergeFleetShards then folds the shard files with a streaming grid-order
 // merge: records are consumed strictly in global index order (round-robin
@@ -102,6 +108,12 @@ struct FleetSpec {
   }
 };
 
+// Profile and workload by the names specs and the CLI use: "nt4", "win98",
+// "w2kbeta", "nt_smp2", "nt_smp4", "nt_smp2_migrate", "nt_smp4_migrate";
+// "office", "workstation", "games", "web", "idle". False for other names.
+bool OsProfileByName(std::string_view name, kernel::KernelProfile* out);
+bool WorkloadByName(std::string_view name, workload::StressProfile* out);
+
 // Parse a population-spec JSON document (schema in EXPERIMENTS.md "fleet
 // recipe"). Unknown OS/workload/fault-plan names, bad weights and empty
 // cohorts fail here, not mid-run.
@@ -110,8 +122,9 @@ bool FleetSpecFromJson(std::string_view text, FleetSpec* spec, std::string* erro
 bool LoadFleetSpec(const std::string& path, FleetSpec* spec, std::string* error);
 
 // Stable FNV-1a fingerprint over everything that determines cell bits:
-// master seed, cohort order, names, counts, priors, durations. Recorded in
-// shard records' companion report and re-checked on merge.
+// master seed, cohort order, names, counts, priors, durations. Every shard
+// record carries it; resume re-runs, and the merge refuses, a record
+// written under another fingerprint.
 std::uint64_t FleetFingerprint(const FleetSpec& spec);
 
 // Per-member seed: SplitMix64 hash chain over (master seed, cohort index,
@@ -158,12 +171,13 @@ class Fleet {
   std::vector<fault::FaultPlan> plans_;      // resolved built-in plan per cohort
 };
 
-// Compact per-cell result: exactly the accumulator inputs, a fraction of a
-// full ReportToJson artifact.
+// Compact per-cell result: exactly the accumulator inputs, plus the
+// identity of the spec that produced them.
 struct FleetCellRecord {
   std::uint64_t index = 0;
   std::size_t cohort = 0;
   std::uint64_t seed = 0;
+  std::uint64_t fingerprint = 0;  // FleetFingerprint of the writing spec
   std::uint64_t samples = 0;
   double stress_hours = 0.0;
   double speed_mhz = 300.0;
@@ -175,10 +189,10 @@ struct FleetCellRecord {
   stats::QuantileSketch thread_sketch;
 };
 
-// One JSONL line: {"cell", "seed", "checksum", "payload"} where payload is
-// the record body (report_io dialect: hexfloats + decimal u64s) and checksum
-// is Fnv1a64 over the payload text, so a torn or bit-rotted line fails
-// loudly on resume and on merge.
+// One JSONL line: {"cell", "seed", "fingerprint", "checksum", "payload"}
+// where payload is the record body (report_io dialect: hexfloats + decimal
+// u64s) and checksum is Fnv1a64 over the payload text, so a torn or
+// bit-rotted line fails loudly on resume and on merge.
 std::string FleetRecordToLine(const FleetCellRecord& record);
 bool FleetRecordFromLine(std::string_view line, FleetCellRecord* record, std::string* error);
 
@@ -210,7 +224,8 @@ struct FleetShardOptions {
   std::size_t shards = 1;
   int jobs = 1;
   // Shard record file (required). An existing file resumes: records that
-  // verify (seed + checksum) are kept, only missing cells run.
+  // verify (checksum, seed and spec fingerprint) are kept, only missing or
+  // stale cells run.
   std::string out_path;
   // Cell window [cell_lo, cell_hi): only stride cells inside it run
   // (cell_hi == 0 means cell_count). The supervisor's quarantine bisection
@@ -230,6 +245,10 @@ struct FleetShardOptions {
   double chaos_delay_ms = 0.0;
   // Per-cell exception barrier / watchdog / retry.
   runtime::SupervisorOptions supervision;
+  // >0: run the kernel invariant auditor inside every cell at this
+  // virtual-second cadence, plus once after the measurement phase; a
+  // violation fails the cell as invariant_violation.
+  double audit_every_s = 0.0;
   // Progress hook, serialized under the writer lock (completion order).
   std::function<void(const FleetCell&, bool ok)> on_cell_done;
 };
@@ -256,7 +275,8 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
 // merged fleet.json coverage section. `taxonomy` is a runtime::FailureKind
 // name when the supervisor isolated the cell (exception/timeout), or a
 // merge-detected reason ("missing_record", "corrupt_record",
-// "checksum_mismatch", "seed_mismatch") when degradation quarantined it.
+// "checksum_mismatch", "seed_mismatch", "spec_mismatch") when degradation
+// quarantined it.
 struct FleetQuarantineEntry {
   std::uint64_t cell = 0;
   std::uint64_t seed = 0;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -12,41 +11,11 @@
 #include <thread>
 
 #include "src/kernel/profile.h"
-#include "src/lab/journal.h"
-#include "src/lab/report_io.h"
 #include "src/runtime/thread_pool.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
-
-const char* CellStatusName(CellStatus status) {
-  switch (status) {
-    case CellStatus::kPending:
-      return "pending";
-    case CellStatus::kOk:
-      return "ok";
-    case CellStatus::kRestored:
-      return "restored";
-    case CellStatus::kFailed:
-      return "failed";
-    case CellStatus::kSkipped:
-      return "skipped";
-  }
-  return "unknown";
-}
-
-bool MatrixResult::complete() const {
-  if (!error.empty() || statuses.empty()) {
-    return false;
-  }
-  for (const CellStatus status : statuses) {
-    if (status != CellStatus::kOk && status != CellStatus::kRestored) {
-      return false;
-    }
-  }
-  return true;
-}
 
 MatrixSpec PaperMatrix() {
   MatrixSpec spec;
@@ -115,22 +84,10 @@ std::size_t ExperimentMatrix::GroupIndex(std::size_t os_index, std::size_t workl
 
 MatrixResult ExperimentMatrix::Run(
     int jobs, const std::function<void(const MatrixCell&)>& on_cell_done) const {
-  MatrixRunOptions options;
-  options.jobs = jobs;
-  if (on_cell_done) {
-    options.on_cell_done = [&on_cell_done](const MatrixCell& cell, CellStatus) {
-      on_cell_done(cell);
-    };
-  }
-  return Run(options);
-}
-
-MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   using Clock = std::chrono::steady_clock;
   MatrixResult result;
   result.reports.resize(cells_.size());
   result.timings.resize(cells_.size());
-  result.statuses.assign(cells_.size(), CellStatus::kPending);
   std::vector<double> cell_seconds(cells_.size(), 0.0);
   // Per-cell registry slots: each cell writes only its own, and slots merge
   // in grid order afterwards — the same slot discipline the reports use, so
@@ -139,238 +96,66 @@ MatrixResult ExperimentMatrix::Run(const MatrixRunOptions& options) const {
   std::mutex progress_mutex;
   std::map<std::thread::id, int> worker_ids;
 
-  // --- Resume: restore verified cells from an existing journal --------------
-  RunJournal journal;
-  if (!options.resume_path.empty()) {
-    JournalContents contents;
-    std::string error;
-    if (!LoadJournal(options.resume_path, &spec_, &contents, &error)) {
-      result.error = error;
-      return result;
-    }
-    for (const JournalEntry& entry : contents.entries) {
-      if (entry.cell >= cells_.size()) {
-        result.warnings.push_back("journal entry for out-of-range cell " +
-                                  std::to_string(entry.cell) + " ignored");
-        continue;
-      }
-      if (entry.status != "ok") {
-        continue;  // failed cells re-run on resume
-      }
-      if (result.statuses[entry.cell] == CellStatus::kRestored) {
-        continue;  // duplicate entry (e.g. a re-run after a stale artifact)
-      }
-      // Trust nothing the journal says without re-verifying it: the seed must
-      // match this spec's derivation and the artifact must re-hash to the
-      // recorded checksum and parse back. Anything less re-runs the cell.
-      if (entry.seed != cells_[entry.cell].seed) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": journal seed mismatch; re-running");
-        continue;
-      }
-      std::ifstream in(entry.artifact, std::ios::binary);
-      if (!in) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact unreadable (" + entry.artifact +
-                                  "); re-running");
-        continue;
-      }
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      const std::string text = bytes.str();
-      if (Fnv1a64(text) != entry.checksum) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact checksum mismatch (" + entry.artifact +
-                                  "); re-running");
-        continue;
-      }
-      std::string parse_error;
-      LabReport report;
-      if (!ReportFromJson(text, &report, &parse_error)) {
-        result.warnings.push_back("cell " + std::to_string(entry.cell) +
-                                  ": artifact rejected (" + parse_error + "); re-running");
-        continue;
-      }
-      result.reports[entry.cell] = std::move(report);
-      result.statuses[entry.cell] = CellStatus::kRestored;
-      ++result.cells_restored;
-    }
-    if (!journal.OpenAppend(options.resume_path, &error)) {
-      result.error = error;
-      return result;
-    }
-  } else if (!options.journal_path.empty()) {
-    std::string error;
-    if (!journal.Create(options.journal_path, spec_, &error)) {
-      result.error = error;
-      return result;
-    }
-  }
-
-  // --- Work list: pending cells, grid order, optionally capped --------------
-  std::vector<std::size_t> work;
-  work.reserve(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (result.statuses[i] == CellStatus::kPending) {
-      work.push_back(i);
-    }
-  }
-  if (options.max_cells > 0 && work.size() > options.max_cells) {
-    for (std::size_t w = options.max_cells; w < work.size(); ++w) {
-      result.statuses[work[w]] = CellStatus::kSkipped;
-    }
-    result.cells_skipped = work.size() - options.max_cells;
-    work.resize(options.max_cells);
-  }
-
-  runtime::Supervisor supervisor(options.supervision);
-  const bool audits_on = options.audit_every_s > 0.0 || options.audit_fail_cell >= 0;
   const Clock::time_point run_start = Clock::now();
   // Each cell is an isolated single-threaded simulation writing only to its
   // own slot; the pool provides no ordering and needs none.
-  runtime::ParallelFor(options.jobs, work.size(), [&](std::size_t w) {
-    const std::size_t i = work[w];
+  runtime::ParallelFor(jobs, cells_.size(), [&](std::size_t i) {
     int worker = 0;
     {
       std::lock_guard<std::mutex> lock(progress_mutex);
       worker = static_cast<int>(
           worker_ids.emplace(std::this_thread::get_id(), worker_ids.size()).first->second);
     }
-    // Supervision black box: a ring of the cell's recent dispatcher events,
-    // read only if the cell fails. Declared at cell scope so the diagnose
-    // hook can still read it after the TestSystem inside the body has been
-    // torn down by the escaping exception.
-    kernel::TraceSession black_box;
-    const bool force_violation =
-        options.audit_fail_cell >= 0 &&
-        i == static_cast<std::size_t>(options.audit_fail_cell);
-    const Clock::time_point cell_start = Clock::now();
-
-    const auto body = [&](int attempt, runtime::Watchdog& watchdog) {
-      (void)attempt;  // the seed is attempt-invariant by design
-      if (options.throw_cell >= 0 && i == static_cast<std::size_t>(options.throw_cell)) {
-        throw std::runtime_error("injected cell failure (fixture)");
-      }
-      LabConfig config = cells_[i].config;
-      if (spec_.collect_metrics) {
-        config.obs.metrics = &cell_metrics[i];
-        config.obs.queue_sample_ms = spec_.queue_sample_ms;
-      }
-      config.obs.episode_threshold_us = spec_.episode_threshold_us;
-      config.obs.max_episodes = spec_.max_episodes;
-      config.obs.anatomy = spec_.anatomy;
-      config.obs.sketch = spec_.sketch;
-      if (i == 0) {
-        config.obs.trace_sink = spec_.trace_sink;
-      }
-      if (watchdog.armed()) {
-        config.supervision.watchdog = &watchdog;
-      }
-      config.supervision.audit_every_s = options.audit_every_s;
-      config.supervision.force_audit_violation = force_violation;
-      config.supervision.audit_at_end = audits_on;
-      if (options.isolate_failures) {
-        config.supervision.black_box = &black_box;
-      }
-      result.reports[i] = RunLatencyExperiment(config);
-    };
-
-    std::optional<runtime::CellFailure> failure;
-    if (options.isolate_failures) {
-      const auto diagnose = [&](runtime::CellFailure& f) {
-        std::istringstream summary(black_box.Summary(/*recent_events=*/12));
-        std::string line;
-        while (std::getline(summary, line)) {
-          if (!line.empty()) {
-            f.diagnostics.push_back(line);
-          }
-        }
-      };
-      failure = supervisor.RunCell(i, cells_[i].seed, body, diagnose);
-    } else {
-      // Legacy path: exceptions propagate to the caller; a watchdog, when
-      // configured, still throws DeadlineExceeded through.
-      runtime::Watchdog watchdog;
-      watchdog.Arm(options.supervision.cell_timeout_ms);
-      body(1, watchdog);
+    const MatrixCell& cell = cells_[i];
+    LabConfig config = cell.config;
+    if (spec_.collect_metrics) {
+      config.obs.metrics = &cell_metrics[i];
+      config.obs.queue_sample_ms = spec_.queue_sample_ms;
     }
+    config.obs.episode_threshold_us = spec_.episode_threshold_us;
+    config.obs.max_episodes = spec_.max_episodes;
+    config.obs.anatomy = spec_.anatomy;
+    config.obs.sketch = spec_.sketch;
+    if (i == 0) {
+      config.obs.trace_sink = spec_.trace_sink;
+    }
+    config.supervision.audit_every_s = spec_.audit_every_s;
+    config.supervision.audit_at_end = spec_.audit_every_s > 0.0;
 
+    const Clock::time_point cell_start = Clock::now();
+    try {
+      result.reports[i] = RunLatencyExperiment(config);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("cell " + std::to_string(i) + " (" + config.os.name + " / " +
+                               config.stress.name + " / prio " +
+                               std::to_string(config.thread_priority) + ", trial " +
+                               std::to_string(cell.trial) + ", seed " +
+                               std::to_string(cell.seed) + "): " + e.what());
+    }
     const Clock::time_point cell_end = Clock::now();
     cell_seconds[i] = std::chrono::duration<double>(cell_end - cell_start).count();
     result.timings[i] = MatrixResult::CellTiming{
         worker, std::chrono::duration<double>(cell_start - run_start).count(),
         std::chrono::duration<double>(cell_end - run_start).count()};
-    result.statuses[i] = failure ? CellStatus::kFailed : CellStatus::kOk;
-
-    // Checkpoint: artifact file first (no contention — per-cell path), then
-    // the journal line under the lock. A kill between the two leaves an
-    // orphan artifact and no journal line: the cell re-runs, correctly.
-    JournalEntry entry;
-    entry.cell = i;
-    entry.seed = cells_[i].seed;
-    if (!failure && journal.is_open()) {
-      const std::string text = ReportToJson(result.reports[i]);
-      const std::string artifact = journal.ArtifactPath(i);
-      std::ofstream artifact_out(artifact, std::ios::trunc | std::ios::binary);
-      artifact_out << text;
-      artifact_out.flush();
-      entry.status = "ok";
-      entry.checksum = Fnv1a64(text);
-      entry.artifact = artifact;
-      entry.samples = result.reports[i].samples;
-      if (!artifact_out) {
-        entry.status = "failed";
-        entry.taxonomy = runtime::FailureKindName(runtime::FailureKind::kHostTransient);
-        entry.message = "artifact write failed: " + artifact;
-      }
-    } else if (failure) {
-      entry.status = "failed";
-      entry.taxonomy = runtime::FailureKindName(failure->kind);
-      entry.message = failure->message.substr(0, failure->message.find('\n'));
-      entry.attempts = failure->attempts;
-    }
-
-    {
+    if (on_cell_done) {
       std::lock_guard<std::mutex> lock(progress_mutex);
-      ++result.cells_executed;
-      if (journal.is_open()) {
-        std::string journal_error;
-        if (!journal.Append(entry, &journal_error)) {
-          result.warnings.push_back(journal_error);
-        }
-      }
-      if (failure) {
-        result.failures.push_back(*failure);
-        if (options.on_cell_failed) {
-          options.on_cell_failed(result.failures.back());
-        }
-      }
-      if (options.on_cell_done) {
-        options.on_cell_done(cells_[i], result.statuses[i]);
-      }
+      on_cell_done(cell);
     }
   });
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
   result.workers_observed = static_cast<int>(worker_ids.size());
-  result.retries = supervisor.retries();
   for (double seconds : cell_seconds) {
     result.total_cell_seconds += seconds;
   }
 
   // Merge trials into groups strictly in grid order: histogram bucket adds
   // and floating-point sums see the same sequence whatever `jobs` was.
-  // Only completed cells (kOk / kRestored) merge; failed or skipped cells
-  // contribute nothing rather than skewing the pooled distributions.
   result.merged.resize(spec_.group_count());
   // Conservation ledger for the post-merge audit: the merged histogram of a
   // group must hold exactly the sum of its trials' sample counts.
   std::vector<std::uint64_t> expected_thread_counts(spec_.group_count(), 0);
   std::vector<std::uint64_t> expected_dpc_counts(spec_.group_count(), 0);
   for (const MatrixCell& cell : cells_) {
-    const CellStatus status = result.statuses[cell.index];
-    if (status != CellStatus::kOk && status != CellStatus::kRestored) {
-      continue;
-    }
     const LabReport& report = result.reports[cell.index];
     const std::size_t group_index =
         GroupIndex(cell.os_index, cell.workload_index, cell.priority_index);

@@ -16,6 +16,11 @@
 //   2. Every cell writes its report into a pre-sized slot, and slots are
 //      merged sequentially in grid order after all cells finish, so even the
 //      floating-point sums accumulate in a jobs-independent order.
+//
+// The matrix runs in process and keeps nothing on disk. A grid that must
+// survive a crash and resume bit-exactly runs as a fleet instead
+// (src/lab/fleet.h): one cohort per (os, workload, priority) with `count`
+// set to the trial count, sharded, supervised and resumable.
 
 #ifndef SRC_LAB_MATRIX_H_
 #define SRC_LAB_MATRIX_H_
@@ -30,7 +35,6 @@
 #include "src/lab/lab.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/metrics.h"
-#include "src/runtime/supervisor.h"
 
 namespace wdmlat::lab {
 
@@ -72,6 +76,9 @@ struct MatrixSpec {
   // stats::QuantileSketch; per-trial sketches merge — grid order, so the
   // merged sketch is jobs-independent — into MergedCell::thread_sketch.
   bool sketch = false;
+  // >0: run the kernel invariant auditor inside every cell at this
+  // virtual-second cadence, plus once after the measurement phase.
+  double audit_every_s = 0.0;
   // Receives the dispatcher trace of the FIRST cell only: a sink shared by
   // concurrently-running cells would interleave their tracks meaninglessly,
   // so the sim-side tracks show one representative cell while the host-side
@@ -144,49 +151,6 @@ struct MergedCell {
   double samples_per_hour() const { return counters.SamplesPerHour(); }
 };
 
-// Final disposition of one cell after a (possibly supervised, possibly
-// resumed) run.
-enum class CellStatus : std::uint8_t {
-  kPending,   // never reached (only seen mid-run or after an aborted run)
-  kOk,        // executed this run and completed
-  kRestored,  // restored bit-exactly from a verified journal artifact
-  kFailed,    // executed and failed; see MatrixResult::failures
-  kSkipped,   // not launched because MatrixRunOptions::max_cells was hit
-};
-const char* CellStatusName(CellStatus status);
-
-// Knobs for the supervised runner (ExperimentMatrix::Run(MatrixRunOptions)).
-// Default-constructed options reproduce the legacy Run(jobs) behaviour:
-// no watchdog, no audits, no journal, every failure propagates.
-struct MatrixRunOptions {
-  int jobs = 1;
-  // Per-cell exception barrier + watchdog + retry policy. With
-  // cell_timeout_ms == 0 the watchdog stays disarmed but the barrier still
-  // converts throwing cells into structured failures.
-  runtime::SupervisorOptions supervision;
-  // When false, a cell exception propagates out of Run (legacy behaviour);
-  // when true, it is captured as a CellFailure and the other cells continue.
-  bool isolate_failures = false;
-  // >0: run an invariant-audit pass inside every cell at this virtual-second
-  // cadence (plus once at the end of the measurement phase).
-  double audit_every_s = 0.0;
-  // Fixtures for tests and ci/resume_smoke.sh (negative = disabled):
-  // inject one audit violation into this cell / throw from this cell.
-  std::ptrdiff_t audit_fail_cell = -1;
-  std::ptrdiff_t throw_cell = -1;
-  // >0: launch at most this many cells this run, marking the rest kSkipped —
-  // the controlled "interrupt" used by the resume-determinism tests.
-  std::size_t max_cells = 0;
-  // Non-empty: write a fresh journal (plus per-cell artifacts) at this path.
-  std::string journal_path;
-  // Non-empty: resume from this journal — restore verified completed cells,
-  // re-run missing/failed/corrupt ones, and append new entries to it.
-  std::string resume_path;
-  // Progress hooks, serialized under the runner's lock (completion order).
-  std::function<void(const MatrixCell&, CellStatus)> on_cell_done;
-  std::function<void(const runtime::CellFailure&)> on_cell_failed;
-};
-
 struct MatrixResult {
   // Per-cell reports, parallel to ExperimentMatrix::cells().
   std::vector<LabReport> reports;
@@ -221,29 +185,10 @@ struct MatrixResult {
     return capacity > 0.0 ? total_cell_seconds / capacity : 0.0;
   }
 
-  // --- Supervision outcome (populated by Run(MatrixRunOptions)) -------------
-  // Per-cell dispositions, parallel to ExperimentMatrix::cells(). The legacy
-  // Run(jobs) fills every slot with kOk.
-  std::vector<CellStatus> statuses;
-  // Structured failures of every kFailed cell (completion order).
-  std::vector<runtime::CellFailure> failures;
-  std::size_t cells_executed = 0;  // ran this run (kOk + kFailed)
-  std::size_t cells_restored = 0;  // restored from the resume journal
-  std::size_t cells_skipped = 0;   // unlaunched due to max_cells
-  std::uint64_t retries = 0;       // host-transient retries across all cells
-  // Non-fatal resume diagnostics: stale checksums, unreadable artifacts —
-  // each one names a cell that was re-run instead of restored.
-  std::vector<std::string> warnings;
   // Post-merge conservation audit: any group whose merged histogram counts
   // differ from the sum of its merged trials' counts. Always empty unless
   // the merge arithmetic itself is broken.
   std::vector<std::string> merge_violations;
-  // Set when the run aborted before executing cells (unreadable or
-  // mismatched resume journal, unwritable journal path).
-  std::string error;
-
-  // Every cell is kOk or kRestored (the merged exhibits cover the full grid).
-  bool complete() const;
 };
 
 // Append the host-side view of a finished matrix run to `writer`: one track
@@ -267,18 +212,12 @@ class ExperimentMatrix {
 
   // Run every cell on `jobs` worker threads (jobs <= 1 runs inline) and merge
   // trial groups. `on_cell_done`, if set, is invoked once per finished cell,
-  // serialized under a lock (completion order, not grid order). Thin wrapper
-  // over the supervised overload with default options.
+  // serialized under a lock (completion order, not grid order). A cell that
+  // throws (an invariant violation under MatrixSpec::audit_every_s, say)
+  // ends the run: every other cell still finishes, then the first failure
+  // in grid order is rethrown as a std::runtime_error that names the cell.
   MatrixResult Run(int jobs,
                    const std::function<void(const MatrixCell&)>& on_cell_done = nullptr) const;
-
-  // Supervised run: per-cell watchdog/exception-barrier/retry, optional
-  // invariant audits, optional checkpoint journal and resume. Cells that
-  // fail under isolate_failures are recorded in MatrixResult::failures and
-  // excluded from the merge; everything that merges is bit-identical to the
-  // same cells merged by a fresh unsupervised run (same grid order, same
-  // per-cell bits — supervision hooks are pure observers of the simulation).
-  MatrixResult Run(const MatrixRunOptions& options) const;
 
   // Index of a group in MatrixResult::merged by grid coordinates.
   std::size_t GroupIndex(std::size_t os_index, std::size_t workload_index,

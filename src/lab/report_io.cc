@@ -11,9 +11,6 @@ namespace wdmlat::lab {
 
 namespace {
 
-constexpr const char* kFormatName = "wdmlat-cell-report";
-constexpr int kFormatVersion = 1;
-
 constexpr char kHexDigits[] = "0123456789abcdef";
 constexpr std::uint64_t kFractionMask = (std::uint64_t{1} << 52) - 1;
 
@@ -270,6 +267,7 @@ bool ReadHexDouble(obs::JsonCursor& in, const char* field, double* out) {
 }
 
 bool ReadIndex(obs::JsonCursor& in, const char* field, double limit, std::uint64_t* out) {
+  in.Peek();  // past any whitespace, so a range error points at the number
   const std::size_t at = in.offset();
   double value = 0.0;
   if (!in.ReadNumber(&value)) {
@@ -366,154 +364,6 @@ bool ReadSketch(obs::JsonCursor& in, const char* name, stats::QuantileSketch* ou
 
 }  // namespace report_json
 
-using namespace report_json;  // NOLINT: same-file dialect helpers
-
-namespace {
-
-void AppendBool(std::string& out, bool value) { out += value ? "true" : "false"; }
-
-void AppendBlame(std::string& out, const obs::AnatomyEpisode::Blame& blame) {
-  out += "{\"module\": \"";
-  AppendEscaped(out, blame.module);
-  out += "\", \"function\": \"";
-  AppendEscaped(out, blame.function);
-  out += "\", \"cycles\": \"";
-  AppendU64(out, blame.cycles);
-  out += "\"}";
-}
-
-void AppendAnatomy(std::string& out, const std::vector<obs::AnatomyEpisode>& anatomy) {
-  out += "\"anatomy\": [";
-  for (std::size_t i = 0; i < anatomy.size(); ++i) {
-    const obs::AnatomyEpisode& ep = anatomy[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "{\"latency_ms\": \"";
-    AppendHexDouble(out, ep.latency_ms);
-    out += "\", \"window_begin\": \"";
-    AppendU64(out, ep.window_begin);
-    out += "\", \"window_end\": \"";
-    AppendU64(out, ep.window_end);
-    out += "\", \"truncated\": ";
-    AppendBool(out, ep.truncated);
-    out += ", \"stage_cycles\": [";
-    for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      out += s == 0 ? "\"" : ", \"";
-      AppendU64(out, ep.stage_cycles[s]);
-      out += '"';
-    }
-    out += "], \"stage_blame\": [";
-    for (std::size_t s = 0; s < obs::kAnatomyStageCount; ++s) {
-      if (s != 0) out += ", ";
-      AppendBlame(out, ep.stage_blame[s]);
-    }
-    out += "], \"culprit\": ";
-    AppendBlame(out, ep.culprit);
-    out += '}';
-  }
-  out += ']';
-}
-
-bool ReadBlame(obs::JsonCursor& in, obs::AnatomyEpisode::Blame* blame) {
-  static constexpr const char* kFields[] = {"module", "function", "cycles"};
-  return ReadFields(in, kFields, 0x7, "blame", [&](std::size_t field) {
-    switch (field) {
-      case 0:
-        return in.ReadString(&blame->module);
-      case 1:
-        return in.ReadString(&blame->function);
-      default:
-        return ReadU64(in, "cycles", &blame->cycles);
-    }
-  });
-}
-
-bool ReadAnatomyEpisode(obs::JsonCursor& in, obs::AnatomyEpisode* ep) {
-  static constexpr const char* kFields[] = {"latency_ms",   "window_begin", "window_end",
-                                            "truncated",    "stage_cycles", "stage_blame",
-                                            "culprit"};
-  return ReadFields(in, kFields, 0x77, "anatomy episode", [&](std::size_t field) {
-    switch (field) {
-      case 0:
-        return ReadHexDouble(in, "latency_ms", &ep->latency_ms);
-      case 1:
-        return ReadU64(in, "window_begin", &ep->window_begin);
-      case 2:
-        return ReadU64(in, "window_end", &ep->window_end);
-      case 3:
-        return in.ReadBool(&ep->truncated);
-      case 4:
-        return ReadFixedArray(in, obs::kAnatomyStageCount, "stage_cycles", [&](std::size_t s) {
-          return ReadU64(in, "stage cycle", &ep->stage_cycles[s]);
-        });
-      case 5:
-        return ReadFixedArray(in, obs::kAnatomyStageCount, "stage_blame", [&](std::size_t s) {
-          return ReadBlame(in, &ep->stage_blame[s]);
-        });
-      default:
-        return ReadBlame(in, &ep->culprit);
-    }
-  });
-}
-
-bool ReadEpisode(obs::JsonCursor& in, obs::EpisodeSummary* ep) {
-  static constexpr const char* kFields[] = {
-      "latency_ms",   "reported_at_ms", "true_module",   "true_function", "true_ms",
-      "cause_module", "cause_function", "cause_samples", "attributed",    "module_match"};
-  return ReadFields(in, kFields, 0xff, "episode", [&](std::size_t field) {
-    switch (field) {
-      case 0:
-        return ReadHexDouble(in, "latency_ms", &ep->latency_ms);
-      case 1:
-        return ReadHexDouble(in, "reported_at_ms", &ep->reported_at_ms);
-      case 2:
-        return in.ReadString(&ep->true_module);
-      case 3:
-        return in.ReadString(&ep->true_function);
-      case 4:
-        return ReadHexDouble(in, "true_ms", &ep->true_ms);
-      case 5:
-        return in.ReadString(&ep->cause_module);
-      case 6:
-        return in.ReadString(&ep->cause_function);
-      case 7:
-        return ReadU64(in, "cause_samples", &ep->cause_samples);
-      case 8:
-        return in.ReadBool(&ep->attributed);
-      default:
-        return in.ReadBool(&ep->module_match);
-    }
-  });
-}
-
-bool ReadUsage(obs::JsonCursor& in, stats::UsageModel* usage) {
-  static constexpr const char* kFields[] = {"category", "compression", "day_hours",
-                                            "week_hours"};
-  return ReadFields(in, kFields, 0xf, "usage", [&](std::size_t field) {
-    switch (field) {
-      case 0:
-        return in.ReadString(&usage->category);
-      case 1:
-        return ReadHexDouble(in, "compression", &usage->compression);
-      case 2:
-        return ReadHexDouble(in, "day_hours", &usage->day_hours);
-      default:
-        return ReadHexDouble(in, "week_hours", &usage->week_hours);
-    }
-  });
-}
-
-// The report's histograms, in document and member order.
-constexpr const char* kHistogramNames[] = {"dpc_interrupt", "thread",     "thread_interrupt",
-                                           "interrupt",     "isr_to_dpc", "true_pit_interrupt_latency"};
-
-template <typename Report>
-auto HistogramsOf(Report& report) {
-  return std::array{&report.dpc_interrupt, &report.thread,     &report.thread_interrupt,
-                    &report.interrupt,     &report.isr_to_dpc, &report.true_pit_interrupt_latency};
-}
-
-}  // namespace
-
 std::uint64_t Fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : bytes) {
@@ -593,153 +443,6 @@ bool ParseHexDouble(std::string_view text, double* out) {
     bits = fraction;
   }
   *out = std::bit_cast<double>(bits | sign);
-  return true;
-}
-
-std::string ReportToJson(const LabReport& report) {
-  std::string out;
-  out += "{\"format\": \"";
-  out += kFormatName;
-  out += "\", \"version\": ";
-  AppendInt(out, kFormatVersion);
-  out += ",\n\"os_name\": \"";
-  AppendEscaped(out, report.os_name);
-  out += "\", \"workload_name\": \"";
-  AppendEscaped(out, report.workload_name);
-  out += "\", \"thread_priority\": ";
-  AppendInt(out, report.thread_priority);
-  out += ", \"has_interrupt_latency\": ";
-  AppendBool(out, report.has_interrupt_latency);
-  out += ",\n\"samples\": \"";
-  AppendU64(out, report.samples);
-  out += "\", \"samples_per_hour\": \"";
-  AppendHexDouble(out, report.samples_per_hour);
-  out += "\", \"fault_activations\": \"";
-  AppendU64(out, report.fault_activations);
-  out += "\",\n\"usage\": {\"category\": \"";
-  AppendEscaped(out, report.usage.category);
-  out += "\", \"compression\": \"";
-  AppendHexDouble(out, report.usage.compression);
-  out += "\", \"day_hours\": \"";
-  AppendHexDouble(out, report.usage.day_hours);
-  out += "\", \"week_hours\": \"";
-  AppendHexDouble(out, report.usage.week_hours);
-  out += "\"},\n\"histograms\": {\n";
-  const auto histograms = HistogramsOf(report);
-  for (std::size_t h = 0; h < histograms.size(); ++h) {
-    if (h != 0) out += ",\n";
-    AppendHistogram(out, kHistogramNames[h], histograms[h]->ExportState());
-  }
-  out += "\n},\n\"episodes\": [";
-  for (std::size_t i = 0; i < report.episodes.size(); ++i) {
-    const obs::EpisodeSummary& ep = report.episodes[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "{\"latency_ms\": \"";
-    AppendHexDouble(out, ep.latency_ms);
-    out += "\", \"reported_at_ms\": \"";
-    AppendHexDouble(out, ep.reported_at_ms);
-    out += "\", \"true_module\": \"";
-    AppendEscaped(out, ep.true_module);
-    out += "\", \"true_function\": \"";
-    AppendEscaped(out, ep.true_function);
-    out += "\", \"true_ms\": \"";
-    AppendHexDouble(out, ep.true_ms);
-    out += "\", \"cause_module\": \"";
-    AppendEscaped(out, ep.cause_module);
-    out += "\", \"cause_function\": \"";
-    AppendEscaped(out, ep.cause_function);
-    out += "\", \"cause_samples\": \"";
-    AppendU64(out, ep.cause_samples);
-    out += "\", \"attributed\": ";
-    AppendBool(out, ep.attributed);
-    out += ", \"module_match\": ";
-    AppendBool(out, ep.module_match);
-    out += '}';
-  }
-  out += "],\n";
-  AppendAnatomy(out, report.anatomy);
-  out += ",\n";
-  AppendSketch(out, "thread_sketch", report.thread_sketch.ExportState());
-  out += "}\n";
-  return out;
-}
-
-bool ReportFromJson(std::string_view text, LabReport* report, std::string* error) {
-  *report = LabReport{};
-  static constexpr const char* kFields[] = {
-      "format",      "version",          "os_name",           "workload_name",
-      "thread_priority", "has_interrupt_latency", "samples",  "samples_per_hour",
-      "fault_activations", "usage",          "histograms",        "episodes",
-      "anatomy",     "thread_sketch"};
-  // Everything but thread_priority, has_interrupt_latency, anatomy and
-  // thread_sketch, which older artifacts may lack.
-  constexpr unsigned kRequired = 0x0fcf;
-  LabReport result;
-  obs::JsonCursor in(text);
-  const bool read =
-      ReadFields(in, kFields, kRequired, "cell report", [&](std::size_t field) {
-        switch (field) {
-          case 0: {
-            std::string_view format;
-            return in.ReadString(&format) &&
-                   (format == kFormatName || in.Fail("not a wdmlat-cell-report document"));
-          }
-          case 1: {
-            double version = 0.0;
-            return in.ReadNumber(&version) &&
-                   (version == kFormatVersion || in.Fail("unsupported cell-report version"));
-          }
-          case 2:
-            return in.ReadString(&result.os_name);
-          case 3:
-            return in.ReadString(&result.workload_name);
-          case 4: {
-            std::uint64_t priority = 0;
-            const bool ok = ReadIndex(in, "thread_priority", 256.0, &priority);
-            result.thread_priority = static_cast<int>(priority);
-            return ok;
-          }
-          case 5:
-            return in.ReadBool(&result.has_interrupt_latency);
-          case 6:
-            return ReadU64(in, "samples", &result.samples);
-          case 7:
-            return ReadHexDouble(in, "samples_per_hour", &result.samples_per_hour);
-          case 8:
-            return ReadU64(in, "fault_activations", &result.fault_activations);
-          case 9:
-            return ReadUsage(in, &result.usage);
-          case 10: {
-            const auto histograms = HistogramsOf(result);
-            return ReadFields(in, kHistogramNames, 0x3f, "histograms", [&](std::size_t h) {
-              return ReadHistogram(in, kHistogramNames[h], histograms[h]);
-            });
-          }
-          case 11:
-            return ReadArray(in, [&] {
-              result.episodes.emplace_back();
-              return ReadEpisode(in, &result.episodes.back());
-            });
-          case 12:
-            return ReadArray(in, [&] {
-              result.anatomy.emplace_back();
-              return ReadAnatomyEpisode(in, &result.anatomy.back());
-            });
-          default:
-            return ReadSketch(in, "thread_sketch", &result.thread_sketch);
-        }
-      });
-  if (!read || !in.Finish()) {
-    if (error != nullptr) {
-      std::size_t line = 0;
-      std::size_t column = 0;
-      in.ErrorLineColumn(&line, &column);
-      *error = "cell report error at line " + std::to_string(line) + ", column " +
-               std::to_string(column) + ": " + in.error();
-    }
-    return false;
-  }
-  *report = std::move(result);
   return true;
 }
 

@@ -1,23 +1,19 @@
-// Lossless LabReport artifacts for checkpoint/resume, and the record codec
-// they share with the fleet.
+// The bit-exact record dialect of the fleet's shard records and fleet.json.
 //
-// A resumed matrix must merge bit-identically to a fresh run, which rules
+// A resumed fleet must merge bit-identically to a fresh run, which rules
 // out decimal round-tripping sloppiness: every double (histogram sums,
 // min/max, sample rates) is serialized as a C99 hexfloat string
 // ("0x1.8p+4", spelled exactly as glibc's printf %a spells it) and read back
 // bit for bit. 64-bit counters travel as decimal strings because JSON
-// numbers are doubles here (exact only to 2^53). The document is plain JSON
-// otherwise, read through obs::JsonCursor — including its duplicate-key and
-// non-finite rejection, so a corrupt artifact fails loudly instead of
-// skewing a merge.
+// numbers are doubles here (exact only to 2^53). The documents are plain
+// JSON otherwise, read through obs::JsonCursor — including its
+// duplicate-key and non-finite rejection, so a corrupt record fails loudly
+// instead of skewing a merge.
 //
 // Readers accept exactly one spelling per value: the canonical %a spelling
 // of a finite double, a u64 as decimal digits only, and integer-valued JSON
 // numbers (versions, cohort and bucket indices, parities) as exact
 // integers in range. Every writer here emits those spellings.
-//
-// The journal stores one artifact file per completed cell plus its FNV-1a
-// checksum; RestoreReport is the read side used by --resume.
 
 #ifndef SRC_LAB_REPORT_IO_H_
 #define SRC_LAB_REPORT_IO_H_
@@ -32,9 +28,9 @@
 
 namespace wdmlat::lab {
 
-// FNV-1a 64-bit over raw bytes: the journal's artifact checksum. Stable,
-// dependency-free, and plenty against torn writes and bit rot (this guards
-// integrity, not adversaries).
+// FNV-1a 64-bit over raw bytes: the record checksum and spec fingerprint
+// hash. Stable, dependency-free, and plenty against torn writes and bit rot
+// (this guards integrity, not adversaries).
 std::uint64_t Fnv1a64(std::string_view bytes);
 
 // Exact double <-> string via C99 hexfloat. HexDouble writes glibc's "%a"
@@ -44,19 +40,10 @@ std::uint64_t Fnv1a64(std::string_view bytes);
 std::string HexDouble(double value);
 bool ParseHexDouble(std::string_view text, double* out);
 
-// Serialize `report` to a self-describing JSON document (bit-exact; see
-// file comment).
-std::string ReportToJson(const LabReport& report);
-
-// Parse a ReportToJson document back. On failure returns false and sets
-// `error` (when non-null) to a one-line description; `report` is left
-// default-constructed. A true return restores the report bit-exactly.
-bool ReportFromJson(std::string_view text, LabReport* report, std::string* error);
-
-// Building blocks of the artifact format, shared with the fleet's per-cell
-// record serialization (src/lab/fleet.cc) so both speak the same bit-exact
-// dialect: hexfloat doubles, decimal-string u64s, histogram/sketch State
-// round trips with conservation validation on import.
+// Building blocks of the fleet's per-cell records and merged report
+// (src/lab/fleet.cc): hexfloat doubles, decimal-string u64s,
+// histogram/sketch State round trips with conservation validation on
+// import.
 namespace report_json {
 
 // Writers: append to `out`.

@@ -9,9 +9,9 @@
 // tree. LintJson walks a document with it, building nothing, and reports
 // the top-level object's keys so callers can assert required members exist.
 // ParseJson materialises a JsonValue tree from it — the input side of the
-// house (fault plans, fleet specs, journals). Streaming readers of a known
-// schema (the fleet record decoder) pull values straight from a cursor and
-// never build a tree.
+// house (fault plans, bench_to_json's inputs). Streaming readers of a known
+// schema (the fleet spec and record decoders) pull values straight from a
+// cursor and never build a tree.
 
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
@@ -214,7 +214,7 @@ struct JsonParseResult {
   bool valid = false;
   JsonValue value;
   // Populated when !valid: byte offset plus 1-based line:column of the
-  // first error, so corrupt journals and fault plans are diagnosable by eye.
+  // first error, so corrupt inputs and fault plans are diagnosable by eye.
   std::size_t error_offset = 0;
   std::size_t error_line = 0;
   std::size_t error_column = 0;
@@ -222,10 +222,10 @@ struct JsonParseResult {
 };
 
 // Parse `text` into a JsonValue tree through a strict JsonCursor: the same
-// grammar as LintJson, hardened further for hostile/corrupt input (journals,
-// fault plans): duplicate object keys and numbers that overflow double
-// (e.g. 1e999) are rejected rather than silently accepted, and nesting past
-// the shared depth limit fails cleanly. LintJson validates this repo's own
+// grammar as LintJson, hardened further for hostile/corrupt input (fault
+// plans, benchmark files): duplicate object keys and numbers that overflow
+// double (e.g. 1e999) are rejected rather than silently accepted, and
+// nesting past the shared depth limit fails cleanly. LintJson validates this repo's own
 // exporters and intentionally stays lenient about duplicates.
 JsonParseResult ParseJson(std::string_view text);
 

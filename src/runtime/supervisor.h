@@ -34,8 +34,8 @@
 
 namespace wdmlat::runtime {
 
-// Error taxonomy of a supervised cell. Stable snake_case names (journal
-// "taxonomy" strings) via FailureKindName.
+// Error taxonomy of a supervised cell. Stable snake_case names (the fleet
+// quarantine manifest's "taxonomy" strings) via FailureKindName.
 enum class FailureKind : std::uint8_t {
   kNone,
   // The cell body threw (std::exception or otherwise): a deterministic
@@ -98,8 +98,8 @@ class Watchdog {
   bool armed_ = false;
 };
 
-// One structured cell failure: everything the journal, the CLI report and a
-// post-mortem need to understand what died without re-running it.
+// One structured cell failure: everything the quarantine manifest, the CLI
+// report and a post-mortem need to understand what died without re-running it.
 struct CellFailure {
   std::size_t cell = 0;
   std::uint64_t seed = 0;

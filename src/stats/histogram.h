@@ -82,9 +82,9 @@ class LatencyHistogram {
   void Reset();
 
   // Lossless state snapshot for checkpoint/resume. The doubles must be
-  // round-tripped bit-exactly by whatever serializes the state (the journal
-  // writes them as C99 hexfloats); an imported histogram is then
-  // indistinguishable from the original, so a resumed matrix merges
+  // round-tripped bit-exactly by whatever serializes the state (the fleet
+  // record writes them as C99 hexfloats); an imported histogram is then
+  // indistinguishable from the original, so a resumed fleet merges
   // bit-identically to a fresh run. Lives here rather than in obs because
   // obs depends on stats: the snapshot is serialization-format-free.
   struct State {

@@ -3,7 +3,7 @@
 // The fleet layer (ROADMAP item 2) needs tail quantiles (P99.9, P99.99) over
 // populations far larger than one cell, with the same merge discipline as
 // LatencyHistogram: cells merge in grid order after the run, and the merged
-// result must be bit-identical at any --jobs count and through --resume.
+// result must be bit-identical at any --jobs count and through a resume.
 // LatencyHistogram already does this at ~2.2% bucket resolution; the sketch
 // complements it with *exact* deep-tail values: a KLL-style compactor stack
 // for the body of the distribution plus an exact top-K reservoir for the
@@ -15,7 +15,7 @@
 // replaced by a per-level alternating parity bit (the classic derandomized
 // variant); compaction order is a pure function of the insertion/merge
 // sequence, so identical operation sequences produce bit-identical states —
-// the property the grid-order merge and the resume journal rely on.
+// the property the grid-order merge and fleet resume rely on.
 
 #ifndef SRC_STATS_QUANTILE_SKETCH_H_
 #define SRC_STATS_QUANTILE_SKETCH_H_

@@ -1,7 +1,8 @@
-// The fleet tentpole guarantee: the merged population report is bit-identical
-// at any --shards/--jobs split, and across a killed-and-resumed shard — the
-// grid-order merge folds cell records in global index order no matter how
-// they were produced.
+// The fleet's durable-run guarantee: the merged population report is
+// bit-identical at any --shards/--jobs split, and across a killed-and-resumed
+// shard — the grid-order merge folds cell records in global index order no
+// matter how they were produced — and a shard file written under another
+// spec is never resumed or merged as if it were this one's.
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,18 @@ TEST(FleetDeterminism, MergedReportBitIdenticalAcrossShardAndJobCounts) {
 }
 
 TEST(FleetDeterminism, KilledShardResumesToBitIdenticalReport) {
-  const Fleet fleet(SmallPopulation());
+  // Plus an SMP cohort with migrating DPCs, the policy with the most
+  // cross-core traffic: its records must survive the resume too.
+  FleetSpec spec = SmallPopulation();
+  FleetCohort smp;
+  smp.name = "smp2";
+  smp.os = "nt_smp2_migrate";
+  smp.workloads = {"games"};
+  smp.count = 4;
+  smp.stress_minutes = 0.002;
+  smp.warmup_seconds = 0.1;
+  spec.cohorts.push_back(smp);
+  const Fleet fleet(spec);
   ASSERT_TRUE(fleet.error().empty());
   const std::string baseline =
       RunAndMerge(fleet, TempDirFor("fleet_resume_base"), 1, 1);
@@ -144,6 +156,67 @@ TEST(FleetDeterminism, KilledShardResumesToBitIdenticalReport) {
   std::string error;
   ASSERT_TRUE(MergeFleetShards(fleet, paths, &report, &error)) << error;
   EXPECT_EQ(baseline, FleetReportToJson(report));
+}
+
+TEST(FleetDeterminism, StaleSpecRecordsReRunAndStrictMergeRefusesThem) {
+  // Editing `os` or `stress_minutes` keeps every cell seed (seeds hash only
+  // the master seed and the coordinates) but changes every cell's bits. The
+  // records a shard file holds from the old spec must not stand in for the
+  // new one: resume re-runs each of them, and a strict merge refuses them.
+  FleetSpec original;
+  original.name = "stale";
+  original.master_seed = 5;
+  FleetCohort grid;
+  grid.name = "grid";
+  grid.os = "nt4";
+  grid.workloads = {"games"};
+  grid.count = 4;
+  grid.stress_minutes = 0.002;
+  grid.warmup_seconds = 0.1;
+  original.cohorts = {grid};
+  FleetSpec other_os = original;
+  other_os.cohorts[0].os = "win98";
+  FleetSpec longer = original;
+  longer.cohorts[0].stress_minutes *= 3.0;
+
+  const Fleet before(original);
+  ASSERT_TRUE(before.error().empty()) << before.error();
+  for (const FleetSpec& edited : {other_os, longer}) {
+    SCOPED_TRACE(edited.cohorts[0].os + " for " +
+                 std::to_string(edited.cohorts[0].stress_minutes) + " min");
+    const Fleet after(edited);
+    ASSERT_TRUE(after.error().empty()) << after.error();
+    ASSERT_NE(after.fingerprint(), before.fingerprint());
+    for (std::uint64_t i = 0; i < after.cell_count(); ++i) {
+      ASSERT_EQ(after.CellAt(i).seed, before.CellAt(i).seed);
+    }
+
+    const std::string name = edited.cohorts[0].os == "nt4" ? "stale_minutes" : "stale_os";
+    const std::string dir = TempDirFor(name);
+    FleetShardOptions options;
+    options.out_path = FleetShardPath(dir, 0, 1);
+    ASSERT_TRUE(RunFleetShard(before, options).ok());
+
+    FleetReport report;
+    std::string error;
+    EXPECT_FALSE(MergeFleetShards(after, {options.out_path}, &report, &error));
+    EXPECT_NE(error.find("another spec"), std::string::npos) << error;
+    FleetMergeOptions degraded;
+    degraded.allow_degraded = true;
+    ASSERT_TRUE(MergeFleetShards(after, {options.out_path}, degraded, &report, &error)) << error;
+    EXPECT_EQ(report.cells_completed, 0u);
+    ASSERT_EQ(report.quarantine.size(), 4u);
+    EXPECT_EQ(report.quarantine[0].taxonomy, "spec_mismatch");
+
+    const FleetShardResult resumed = RunFleetShard(after, options);
+    ASSERT_TRUE(resumed.ok()) << resumed.error;
+    EXPECT_EQ(resumed.cells_restored, 0u);
+    EXPECT_EQ(resumed.cells_executed, 4u);
+    EXPECT_EQ(resumed.warnings.size(), 4u);
+    ASSERT_TRUE(MergeFleetShards(after, {options.out_path}, &report, &error)) << error;
+    EXPECT_EQ(FleetReportToJson(report),
+              RunAndMerge(after, TempDirFor(name + "_fresh"), 1, 1));
+  }
 }
 
 TEST(FleetDeterminism, MergeFailsLoudlyOnIncompleteShard) {

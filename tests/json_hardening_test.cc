@@ -1,5 +1,5 @@
-// Hardening of obs::ParseJson for hostile/corrupt input (journals, fault
-// plans, artifacts): duplicate-key rejection, double-overflow rejection,
+// Hardening of obs::ParseJson for hostile/corrupt input (fault plans,
+// benchmark files): duplicate-key rejection, double-overflow rejection,
 // depth limiting, exact string escapes, and precise line:column error
 // positions. LintJson stays deliberately lenient — it validates this repo's
 // own exporters. The JsonCursor tests pin the pull API those two share.

@@ -1,14 +1,18 @@
 // The parallel matrix runner's headline guarantee: for a fixed master seed,
 // the merged histograms are bit-identical whether the cells ran on one
-// worker or four. Also covers the seed-derivation scheme and grid expansion.
+// worker or four. Also covers the seed-derivation scheme, grid expansion and
+// how a failing cell ends a run.
 
 #include "src/lab/matrix.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/kernel/profile.h"
+#include "src/kernel/trace.h"
 #include "src/workload/stress_profile.h"
 
 namespace wdmlat::lab {
@@ -133,6 +137,37 @@ TEST(MatrixDeterminismTest, PaperMatrixMatchesFigure4Grid) {
   EXPECT_EQ(spec.priorities, (std::vector<int>{28, 24}));
   EXPECT_EQ(spec.cell_count(), 16u);
   EXPECT_EQ(spec.group_count(), 16u);
+}
+
+// A sink that fails the cell it observes (MatrixSpec::trace_sink reaches
+// cell 0 only).
+class ThrowingSink : public kernel::TraceSink {
+ public:
+  void OnTraceEvent(const kernel::TraceEvent&) override {
+    throw std::runtime_error("sink failure");
+  }
+};
+
+TEST(MatrixDeterminismTest, ThrowingCellEndsTheRunNamingItselfAfterTheOthersFinish) {
+  ThrowingSink sink;
+  MatrixSpec spec = SmallSpec();
+  spec.stress_minutes = 0.02;
+  spec.trace_sink = &sink;
+  const ExperimentMatrix matrix(spec);
+  std::set<std::size_t> finished;
+  try {
+    matrix.Run(2, [&](const MatrixCell& cell) { finished.insert(cell.index); });
+    FAIL() << "a throwing cell must end the run";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("cell 0 (Windows 98 / 3D Games / prio 28, trial 0, seed " +
+                                std::to_string(matrix.cells()[0].seed) + "): ",
+                            0),
+              0u)
+        << message;
+    EXPECT_NE(message.find("sink failure"), std::string::npos) << message;
+  }
+  EXPECT_EQ(finished, (std::set<std::size_t>{1, 2, 3}));
 }
 
 }  // namespace

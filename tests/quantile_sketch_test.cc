@@ -7,9 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "src/kernel/profile.h"
@@ -106,7 +104,7 @@ TEST(QuantileSketchTest, DeepTailIsExactOnTenMillionSamples) {
 }
 
 // Bitwise equality of two sketch states — the determinism the grid-order
-// merge and the resume journal promise.
+// merge and fleet resume promise.
 void ExpectSameBits(const stats::QuantileSketch& a, const stats::QuantileSketch& b) {
   const stats::QuantileSketch::State sa = a.ExportState();
   const stats::QuantileSketch::State sb = b.ExportState();
@@ -226,10 +224,11 @@ TEST(QuantileSketchTest, ImportRejectsCorruptSnapshots) {
   EXPECT_FALSE(target.ImportState(bad));
 }
 
-// End-to-end: the matrix's merged sketch is bit-identical across --jobs and
-// through an interrupted, journaled, resumed run — the same contract the
-// histograms already keep, now for the sketch's serialized state.
-TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
+// End-to-end: the matrix's merged sketch is bit-identical across --jobs —
+// the same contract the histograms already keep, now for the sketch's
+// serialized state. (Across an interrupted, resumed run it is the fleet's
+// contract: the sketch cohort in tests/fleet_determinism_test.cc.)
+TEST(QuantileSketchTest, MatrixMergedSketchIsJobsInvariant) {
   lab::MatrixSpec spec;
   spec.oses = {kernel::MakeNt4Profile(), kernel::MakeWin98Profile()};
   spec.workloads = {workload::GamesStress()};
@@ -241,50 +240,13 @@ TEST(QuantileSketchTest, MatrixMergedSketchIsJobsAndResumeInvariant) {
   spec.sketch = true;
   const lab::ExperimentMatrix matrix(spec);
 
-  lab::MatrixRunOptions jobs1;
-  jobs1.jobs = 1;
-  const lab::MatrixResult r1 = matrix.Run(jobs1);
-  ASSERT_TRUE(r1.complete()) << r1.error;
-
-  lab::MatrixRunOptions jobs4;
-  jobs4.jobs = 4;
-  const lab::MatrixResult r4 = matrix.Run(jobs4);
-  ASSERT_TRUE(r4.complete()) << r4.error;
-
+  const lab::MatrixResult r1 = matrix.Run(1);
+  const lab::MatrixResult r4 = matrix.Run(4);
   ASSERT_EQ(r1.merged.size(), r4.merged.size());
   for (std::size_t i = 0; i < r1.merged.size(); ++i) {
     EXPECT_GT(r1.merged[i].thread_sketch.count(), 0u);
     ExpectSameBits(r1.merged[i].thread_sketch, r4.merged[i].thread_sketch);
   }
-
-  // Interrupt after 2 cells, resume at a different --jobs: still identical.
-  const std::string journal =
-      (std::filesystem::path(testing::TempDir()) / "sketch_resume.jsonl").string();
-  std::error_code ec;
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
-
-  lab::MatrixRunOptions first;
-  first.jobs = 1;
-  first.isolate_failures = true;
-  first.journal_path = journal;
-  first.max_cells = 2;
-  (void)matrix.Run(first);
-
-  lab::MatrixRunOptions second;
-  second.jobs = 4;
-  second.isolate_failures = true;
-  second.resume_path = journal;
-  const lab::MatrixResult resumed = matrix.Run(second);
-  ASSERT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 2u);
-
-  ASSERT_EQ(resumed.merged.size(), r1.merged.size());
-  for (std::size_t i = 0; i < r1.merged.size(); ++i) {
-    ExpectSameBits(r1.merged[i].thread_sketch, resumed.merged[i].thread_sketch);
-  }
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
 }
 
 }  // namespace

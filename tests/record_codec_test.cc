@@ -1,8 +1,10 @@
 // The record codec: byte identity and exact number spellings.
 //
-// - FNV-1a goldens of a fleet record line, a cell report artifact and a
-//   small fleet's fleet.json, pinned from the snprintf/strtod + DOM codec
-//   these writers replaced: any change in a single output byte fails here.
+// - FNV-1a goldens of a fleet record line and a small fleet's fleet.json,
+//   pinned from the snprintf/strtod + DOM codec these writers replaced: any
+//   change in a single output byte fails here. The record line's golden
+//   was re-pinned when records gained the spec fingerprint member; the
+//   test also checks the line without that member against the old bytes.
 // - The hexfloat writer against printf("%a") and the reader against strtod
 //   over 10M SplitMix64 bit patterns, and the reader's canonical-only rule
 //   against libc over mutated spellings.
@@ -20,17 +22,17 @@
 #include <string_view>
 #include <vector>
 
-#include "src/kernel/profile.h"
 #include "src/lab/fleet.h"
 #include "src/lab/lab.h"
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
 #include "src/sim/rng.h"
-#include "src/workload/stress_profile.h"
 #include "tests/temp_dir.h"
 
 namespace wdmlat::lab {
 namespace {
+
+constexpr std::uint64_t kSeededFingerprint = 0xfedcba9876543210ull;
 
 // A record whose sketch holds a full top-K tail (more samples than
 // QuantileSketch::kTailCapacity), several compactor levels, both
@@ -40,6 +42,7 @@ FleetCellRecord SeededRecord() {
   record.index = 1234567;
   record.cohort = 3;
   record.seed = 0x9e3779b97f4a7c15ull;
+  record.fingerprint = kSeededFingerprint;
   record.fault_activations = 17;
   record.anatomy_episodes = 5;
   for (std::size_t s = 0; s < record.anatomy_stage_cycles.size(); ++s) {
@@ -57,20 +60,6 @@ FleetCellRecord SeededRecord() {
   record.stress_hours = samples / 3.6e6;
   record.speed_mhz = 233.33;
   return record;
-}
-
-LabReport FixedCellReport() {
-  LabConfig config;
-  config.os = kernel::MakeWin98Profile();
-  config.stress = workload::GamesStress();
-  config.thread_priority = 28;
-  config.stress_minutes = 0.05;
-  config.warmup_seconds = 1.0;
-  config.seed = 1999;
-  config.obs.episode_threshold_us = 200.0;
-  config.obs.anatomy = true;
-  config.obs.sketch = true;
-  return RunLatencyExperiment(config);
 }
 
 FleetSpec GoldenPopulation() {
@@ -103,14 +92,18 @@ FleetSpec GoldenPopulation() {
 
 TEST(RecordCodecGolden, FleetRecordLine) {
   const std::string line = FleetRecordToLine(SeededRecord());
-  EXPECT_EQ(line.size(), 449927u);
-  EXPECT_EQ(Fnv1a64(line), 0xf135e486d0a5bd97ull) << std::hex << Fnv1a64(line);
-}
-
-TEST(RecordCodecGolden, CellReportArtifact) {
-  const std::string text = ReportToJson(FixedCellReport());
-  EXPECT_EQ(text.size(), 67013u);
-  EXPECT_EQ(Fnv1a64(text), 0xdfc6ba5be235f116ull) << std::hex << Fnv1a64(text);
+  EXPECT_EQ(line.size(), 449966u);
+  EXPECT_EQ(Fnv1a64(line), 0x91ee5a68b5fc50bdull) << std::hex << Fnv1a64(line);
+  // Without its spec fingerprint member the line is the golden pinned before
+  // records carried one, byte for byte: the member is the only difference.
+  const std::string member =
+      ", \"fingerprint\": \"" + std::to_string(kSeededFingerprint) + "\"";
+  std::string without = line;
+  const std::size_t at = without.find(member);
+  ASSERT_NE(at, std::string::npos);
+  without.erase(at, member.size());
+  EXPECT_EQ(without.size(), 449927u);
+  EXPECT_EQ(Fnv1a64(without), 0xf135e486d0a5bd97ull) << std::hex << Fnv1a64(without);
 }
 
 TEST(RecordCodecGolden, SmallFleetReport) {
@@ -320,7 +313,7 @@ TEST(RecordCodecStrict, ParseU64AcceptsDigitsOnly) {
 // A shard line around `payload`, with its checksum recomputed: what a
 // corrupting or crafted writer could produce.
 std::string LineAround(std::string_view payload) {
-  std::string line = "{\"cell\": \"0\", \"seed\": \"1\", \"checksum\": \"";
+  std::string line = "{\"cell\": \"0\", \"seed\": \"1\", \"fingerprint\": \"0\", \"checksum\": \"";
   report_json::AppendU64(line, Fnv1a64(payload));
   line += "\", \"payload\": \"";
   report_json::AppendEscaped(line, payload);
@@ -380,6 +373,7 @@ TEST(RecordCodecStrict, DecoderTakesAnyKeyOrderIgnoresUnknownKeysRejectsDuplicat
   FleetCellRecord record;
   record.index = 9;
   record.seed = 77;
+  record.fingerprint = 5;
   record.samples = 1;
   record.thread.RecordMs(0.5);
   const std::string line = FleetRecordToLine(record);
@@ -390,7 +384,7 @@ TEST(RecordCodecStrict, DecoderTakesAnyKeyOrderIgnoresUnknownKeysRejectsDuplicat
   report_json::AppendEscaped(reordered, payload);
   reordered += "\", \"future\": [1, {\"x\": null}], \"checksum\": \"";
   report_json::AppendU64(reordered, Fnv1a64(payload));
-  reordered += "\", \"seed\": \"77\", \"cell\": \"9\"}";
+  reordered += "\", \"seed\": \"77\", \"cell\": \"9\", \"fingerprint\": \"5\"}";
   ASSERT_TRUE(FleetRecordFromLine(reordered, &decoded, &error)) << error;
   EXPECT_EQ(FleetRecordToLine(decoded), line);
 
@@ -404,6 +398,8 @@ TEST(RecordCodecStrict, DecoderTakesAnyKeyOrderIgnoresUnknownKeysRejectsDuplicat
       LineAround(Replace(payload, "{\"format\"", "{\"x\": 1, \"x\": 2, \"format\"")), &decoded,
       &error));
   EXPECT_FALSE(FleetRecordFromLine(Replace(line, "\"seed\": \"77\", ", ""), &decoded, &error));
+  EXPECT_FALSE(
+      FleetRecordFromLine(Replace(line, "\"fingerprint\": \"5\", ", ""), &decoded, &error));
 }
 
 // --- String escapes -----------------------------------------------------------

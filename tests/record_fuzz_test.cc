@@ -54,6 +54,7 @@ class ReferenceDecoder {
     std::uint64_t checksum = 0;
     std::string payload;
     if (!U64Field(root, "cell", &result.index) || !U64Field(root, "seed", &result.seed) ||
+        !U64Field(root, "fingerprint", &result.fingerprint) ||
         !U64Field(root, "checksum", &checksum) || !StringField(root, "payload", &payload)) {
       return false;
     }
@@ -497,10 +498,11 @@ std::string Serialize(const Node& node) {
 }
 
 // A line whose payload is `payload`, checksum recomputed; `line_root` keeps
-// the original cell and seed.
+// the original cell, seed and fingerprint.
 std::string WithPayload(const obs::JsonValue& line_root, const std::string& payload) {
   std::string line = "{\"cell\": \"" + line_root.StringOr("cell", "") + "\", \"seed\": \"" +
-                     line_root.StringOr("seed", "") + "\", \"checksum\": \"";
+                     line_root.StringOr("seed", "") + "\", \"fingerprint\": \"" +
+                     line_root.StringOr("fingerprint", "") + "\", \"checksum\": \"";
   report_json::AppendU64(line, Fnv1a64(payload));
   line += "\", \"payload\": \"";
   report_json::AppendEscaped(line, payload);
@@ -549,6 +551,7 @@ std::vector<std::string> Corpus() {
     record.index = 40 + variant;
     record.cohort = static_cast<std::size_t>(variant);
     record.seed = 0x1234567890abcdefull + variant;
+    record.fingerprint = 0xfeedfacecafebeefull >> variant;
     record.fault_activations = variant;
     record.anatomy_episodes = 2;
     record.anatomy_stage_cycles[1] = 12345;

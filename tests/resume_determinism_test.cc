@@ -1,254 +1,121 @@
-// The checkpoint/resume tentpole guarantee: an interrupted supervised matrix
-// run, resumed from its journal, merges bit-identically to an uninterrupted
-// fresh run — at any job count — and a failing cell degrades to a structured
-// failure while the rest of the grid completes.
+// Resume on the durable path: a fleet shard interrupted part way, or holding
+// a damaged record, resumes to the same bytes as an uninterrupted run — at
+// any job count, with only the missing or damaged cells re-run.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <cstddef>
 #include <fstream>
+#include <iterator>
 #include <string>
 
-#include "src/kernel/profile.h"
-#include "src/lab/journal.h"
-#include "src/lab/matrix.h"
-#include "src/lab/report_io.h"
-#include "src/workload/stress_profile.h"
+#include "src/lab/fleet.h"
+#include "tests/temp_dir.h"
 
 namespace wdmlat::lab {
 namespace {
 
-// Same small grid as matrix_determinism_test.cc: 1 OS x 2 workloads x 1
-// priority x 2 trials = 4 cells, short enough for suite time.
-MatrixSpec SmallSpec() {
-  MatrixSpec spec;
-  spec.oses = {kernel::MakeWin98Profile()};
-  spec.workloads = {workload::GamesStress(), workload::WebStress()};
-  spec.priorities = {28};
-  spec.trials = 2;
-  spec.stress_minutes = 0.2;
-  spec.warmup_seconds = 1.0;
+// Two cohorts, eight cells: one plain, one with sketches, so both record
+// kinds cross the resume.
+FleetSpec SmallFleet() {
+  FleetSpec spec;
+  spec.name = "resume";
   spec.master_seed = 42;
+  FleetCohort nt;
+  nt.name = "nt-office";
+  nt.os = "nt4";
+  nt.workloads = {"office", "web"};
+  nt.count = 4;
+  nt.stress_minutes = 0.002;
+  nt.warmup_seconds = 0.1;
+  FleetCohort w98 = nt;
+  w98.name = "98-games";
+  w98.os = "win98";
+  w98.workloads = {"games"};
+  w98.sketch = true;
+  spec.cohorts = {nt, w98};
   return spec;
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::path(testing::TempDir()) / name).string();
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
-void RemoveJournal(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove_all(path + ".cells", ec);
-  std::filesystem::remove(path, ec);
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::trunc | std::ios::binary) << bytes;
 }
 
-void ExpectMergedIdentical(const MatrixResult& a, const MatrixResult& b) {
-  ASSERT_EQ(a.merged.size(), b.merged.size());
-  for (std::size_t i = 0; i < a.merged.size(); ++i) {
-    const MergedCell& x = a.merged[i];
-    const MergedCell& y = b.merged[i];
-    SCOPED_TRACE(x.workload_name);
-    EXPECT_EQ(x.trials, y.trials);
-    EXPECT_EQ(x.samples(), y.samples());
-    EXPECT_EQ(x.counters.stress_hours, y.counters.stress_hours);
-    EXPECT_EQ(x.thread.ToCsv(), y.thread.ToCsv());
-    EXPECT_EQ(x.dpc_interrupt.ToCsv(), y.dpc_interrupt.ToCsv());
-    EXPECT_EQ(x.thread_interrupt.ToCsv(), y.thread_interrupt.ToCsv());
-    EXPECT_EQ(x.true_pit_interrupt_latency.ToCsv(), y.true_pit_interrupt_latency.ToCsv());
-    EXPECT_EQ(x.thread.mean_ms(), y.thread.mean_ms());
-    EXPECT_EQ(x.thread.max_ms(), y.thread.max_ms());
+// The first `lines` lines of `text`.
+std::string HeadLines(const std::string& text, std::size_t lines) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < lines; ++i) {
+    end = text.find('\n', end) + 1;
   }
+  return text.substr(0, end);
 }
 
-TEST(ResumeDeterminismTest, SupervisedJournaledRunMatchesLegacyRun) {
-  const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult legacy = matrix.Run(1);
-
-  const std::string journal = TempPath("supervised_run.jsonl");
-  RemoveJournal(journal);
-  MatrixRunOptions options;
-  options.jobs = 1;
-  options.isolate_failures = true;
-  options.audit_every_s = 1.0;
-  options.journal_path = journal;
-  const MatrixResult supervised = matrix.Run(options);
-
-  EXPECT_TRUE(supervised.complete());
-  EXPECT_TRUE(supervised.failures.empty());
-  EXPECT_TRUE(supervised.merge_violations.empty());
-  ExpectMergedIdentical(legacy, supervised);
-  RemoveJournal(journal);
+std::string Merged(const Fleet& fleet, const std::string& shard_path) {
+  FleetReport report;
+  std::string error;
+  EXPECT_TRUE(MergeFleetShards(fleet, {shard_path}, &report, &error)) << error;
+  return FleetReportToJson(report);
 }
 
 TEST(ResumeDeterminismTest, InterruptThenResumeIsBitIdenticalAtAnyJobCount) {
-  const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult fresh = matrix.Run(1);
+  const Fleet fleet(SmallFleet());
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
+  FleetShardOptions fresh;
+  fresh.out_path = FleetShardPath(test::TempDirFor("fresh"), 0, 1);
+  ASSERT_TRUE(RunFleetShard(fleet, fresh).ok());
+  const std::string records = ReadFile(fresh.out_path);
+  const std::string report = Merged(fleet, fresh.out_path);
 
   for (int resume_jobs : {1, 4}) {
     SCOPED_TRACE(resume_jobs);
-    const std::string journal = TempPath("interrupted_run.jsonl");
-    RemoveJournal(journal);
+    // Interrupted after three cells: the file holds their records only.
+    FleetShardOptions options;
+    options.jobs = resume_jobs;
+    const std::string dir = test::TempDirFor("jobs" + std::to_string(resume_jobs));
+    options.out_path = FleetShardPath(dir, 0, 1);
+    WriteFile(options.out_path, HeadLines(records, 3));
 
-    // Interrupt: only 2 of 4 cells run before the cap stops the run.
-    MatrixRunOptions first;
-    first.jobs = 1;
-    first.isolate_failures = true;
-    first.journal_path = journal;
-    first.max_cells = 2;
-    const MatrixResult interrupted = matrix.Run(first);
-    EXPECT_FALSE(interrupted.complete());
-    EXPECT_EQ(interrupted.cells_executed, 2u);
-    EXPECT_EQ(interrupted.cells_skipped, 2u);
-
-    // Resume: restored cells come back bit-exactly from their artifacts, the
-    // remaining cells run, and the merge happens in grid order as always.
-    MatrixRunOptions second;
-    second.jobs = resume_jobs;
-    second.isolate_failures = true;
-    second.resume_path = journal;
-    const MatrixResult resumed = matrix.Run(second);
-    EXPECT_TRUE(resumed.complete()) << resumed.error;
-    EXPECT_EQ(resumed.cells_restored, 2u);
-    EXPECT_EQ(resumed.cells_executed, 2u);
+    const FleetShardResult resumed = RunFleetShard(fleet, options);
+    ASSERT_TRUE(resumed.ok()) << resumed.error;
+    EXPECT_EQ(resumed.cells_restored, 3u);
+    EXPECT_EQ(resumed.cells_executed, 5u);
     EXPECT_TRUE(resumed.warnings.empty());
-    ExpectMergedIdentical(fresh, resumed);
-
-    // Per-cell reports agree bit-for-bit too, restored or re-run.
-    for (std::size_t i = 0; i < fresh.reports.size(); ++i) {
-      EXPECT_EQ(fresh.reports[i].thread.ToCsv(), resumed.reports[i].thread.ToCsv())
-          << "cell " << i;
-      EXPECT_EQ(fresh.reports[i].samples_per_hour, resumed.reports[i].samples_per_hour)
-          << "cell " << i;
-    }
-    RemoveJournal(journal);
+    // Restored lines are kept byte for byte and re-run cells land in grid
+    // order, so the shard file and the merge match the uninterrupted run.
+    EXPECT_EQ(ReadFile(options.out_path), records);
+    EXPECT_EQ(Merged(fleet, options.out_path), report);
   }
 }
 
 TEST(ResumeDeterminismTest, CorruptArtifactIsReRunNotTrusted) {
-  const ExperimentMatrix matrix(SmallSpec());
-  const MatrixResult fresh = matrix.Run(1);
+  const Fleet fleet(SmallFleet());
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
+  FleetShardOptions options;
+  options.out_path = FleetShardPath(test::TempDirFor("corrupt"), 0, 1);
+  ASSERT_TRUE(RunFleetShard(fleet, options).ok());
+  const std::string records = ReadFile(options.out_path);
+  const std::string report = Merged(fleet, options.out_path);
 
-  const std::string journal = TempPath("corrupt_artifact.jsonl");
-  RemoveJournal(journal);
-  MatrixRunOptions first;
-  first.jobs = 1;
-  first.isolate_failures = true;
-  first.journal_path = journal;
-  ASSERT_TRUE(matrix.Run(first).complete());
+  // Flip a byte inside cell 1's payload: its checksum no longer matches.
+  std::string damaged = records;
+  const std::size_t line_1 = damaged.find('\n') + 1;
+  damaged[damaged.find("\"payload\"", line_1) + 40] ^= 1;
+  WriteFile(options.out_path, damaged);
 
-  // Flip bytes in one artifact: its checksum no longer matches the journal.
-  {
-    std::ofstream tamper(journal + ".cells/cell_1.json",
-                         std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(tamper.is_open());
-    tamper.seekp(0);
-    tamper << "XXXX";
-  }
-
-  MatrixRunOptions second;
-  second.jobs = 1;
-  second.isolate_failures = true;
-  second.resume_path = journal;
-  const MatrixResult resumed = matrix.Run(second);
-  EXPECT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 3u);
-  EXPECT_EQ(resumed.cells_executed, 1u);  // the tampered cell re-ran
+  const FleetShardResult resumed = RunFleetShard(fleet, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+  EXPECT_EQ(resumed.cells_restored, 7u);
+  EXPECT_EQ(resumed.cells_executed, 1u);  // the damaged cell re-ran
   ASSERT_EQ(resumed.warnings.size(), 1u);
-  EXPECT_NE(resumed.warnings[0].find("cell 1"), std::string::npos);
-  ExpectMergedIdentical(fresh, resumed);
-  RemoveJournal(journal);
-}
-
-TEST(ResumeDeterminismTest, MismatchedSpecRefusesToResume) {
-  const std::string journal = TempPath("fingerprint_mismatch.jsonl");
-  RemoveJournal(journal);
-  {
-    const ExperimentMatrix matrix(SmallSpec());
-    MatrixRunOptions options;
-    options.jobs = 1;
-    options.isolate_failures = true;
-    options.journal_path = journal;
-    options.max_cells = 1;
-    matrix.Run(options);
-  }
-  MatrixSpec other = SmallSpec();
-  other.master_seed = 43;  // different grid identity
-  const ExperimentMatrix matrix(other);
-  MatrixRunOptions options;
-  options.jobs = 1;
-  options.isolate_failures = true;
-  options.resume_path = journal;
-  const MatrixResult result = matrix.Run(options);
-  EXPECT_FALSE(result.error.empty());
-  EXPECT_NE(result.error.find("different matrix"), std::string::npos);
-  EXPECT_EQ(result.cells_executed, 0u);
-  RemoveJournal(journal);
-}
-
-TEST(ResumeDeterminismTest, ThrowingCellFailsStructuredWhileOthersComplete) {
-  const ExperimentMatrix matrix(SmallSpec());
-  MatrixRunOptions options;
-  options.jobs = 2;
-  options.isolate_failures = true;
-  options.throw_cell = 1;
-  const MatrixResult result = matrix.Run(options);
-
-  EXPECT_FALSE(result.complete());
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].cell, 1u);
-  EXPECT_EQ(result.failures[0].seed, matrix.cells()[1].seed);
-  EXPECT_EQ(result.failures[0].kind, runtime::FailureKind::kException);
-  EXPECT_NE(result.failures[0].message.find("injected cell failure"), std::string::npos);
-  ASSERT_EQ(result.statuses.size(), 4u);
-  EXPECT_EQ(result.statuses[1], CellStatus::kFailed);
-  for (std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    EXPECT_EQ(result.statuses[i], CellStatus::kOk) << "cell " << i;
-    EXPECT_GT(result.reports[i].samples, 0u) << "cell " << i;
-  }
-  // The failed trial is excluded from its group's merge, not zero-filled:
-  // games (group 0) pooled one trial, web (group 1) pooled both.
-  ASSERT_EQ(result.merged.size(), 2u);
-  EXPECT_EQ(result.merged[0].trials, 1);
-  EXPECT_EQ(result.merged[1].trials, 2);
-  EXPECT_TRUE(result.merge_violations.empty());
-}
-
-TEST(ResumeDeterminismTest, JournalRoundTripsThroughLoader) {
-  const MatrixSpec spec = SmallSpec();
-  const ExperimentMatrix matrix(spec);
-  const std::string journal = TempPath("loader_roundtrip.jsonl");
-  RemoveJournal(journal);
-  MatrixRunOptions options;
-  options.jobs = 1;
-  options.isolate_failures = true;
-  options.journal_path = journal;
-  options.throw_cell = 3;
-  matrix.Run(options);
-
-  JournalContents contents;
-  std::string error;
-  ASSERT_TRUE(LoadJournal(journal, &spec, &contents, &error)) << error;
-  EXPECT_EQ(contents.fingerprint, MatrixFingerprint(spec));
-  EXPECT_EQ(contents.master_seed, 42u);
-  EXPECT_EQ(contents.cell_count, 4u);
-  ASSERT_EQ(contents.entries.size(), 4u);
-  int ok = 0, failed = 0;
-  for (const JournalEntry& entry : contents.entries) {
-    EXPECT_EQ(entry.seed, matrix.cells()[entry.cell].seed);
-    if (entry.status == "ok") {
-      ++ok;
-      EXPECT_NE(entry.checksum, 0u);
-      EXPECT_GT(entry.samples, 0u);
-    } else {
-      ++failed;
-      EXPECT_EQ(entry.cell, 3u);
-      EXPECT_EQ(entry.taxonomy, "exception");
-    }
-  }
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(failed, 1);
-  RemoveJournal(journal);
+  EXPECT_NE(resumed.warnings[0].find("checksum mismatch"), std::string::npos)
+      << resumed.warnings[0];
+  EXPECT_EQ(ReadFile(options.out_path), records);
+  EXPECT_EQ(Merged(fleet, options.out_path), report);
 }
 
 }  // namespace

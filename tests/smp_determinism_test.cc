@@ -5,9 +5,10 @@
 //      profile with one core reproduces the uniprocessor golden checksum
 //      byte for byte (the Smp object is simply never constructed).
 //   2. SMP cells are bit-reproducible: the same seed gives the same
-//      histograms run-over-run, across --jobs counts, and across a
-//      crash/resume — with the extended invariant auditor (per-core IRQL
-//      discipline + spinlock/runqueue/IPI conservation) armed throughout.
+//      histograms run-over-run and across --jobs counts — with the
+//      extended invariant auditor (per-core IRQL discipline +
+//      spinlock/runqueue/IPI conservation) armed throughout — and across a
+//      crash/resume of a durable fleet run.
 //   3. A cross-core operation storm — wakes, affinity churn, priority
 //      flips, injected spinlock contention, device interrupts — keeps every
 //      per-core invariant and quiesces cleanly.
@@ -19,19 +20,21 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "src/drivers/latency_driver.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/profile.h"
 #include "src/kernel/smp.h"
+#include "src/lab/fleet.h"
 #include "src/lab/lab.h"
 #include "src/lab/matrix.h"
+#include "src/lab/report_io.h"
 #include "src/lab/test_system.h"
 #include "src/sim/rng.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
+#include "tests/temp_dir.h"
 #include "tests/test_util.h"
 
 namespace wdmlat {
@@ -99,7 +102,7 @@ TEST(SmpDeterminismTest, SmpCellRunsAreBitIdentical) {
   }
 }
 
-// Leg 2b: a supervised SMP matrix (auditor armed every virtual second) is
+// Leg 2b: an audited SMP matrix (auditor armed every virtual second) is
 // bit-identical at --jobs 1 and --jobs 4. Any cross-worker state leak — or
 // an auditor that perturbs the run — shows up as a CSV mismatch.
 TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
@@ -112,19 +115,11 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
   spec.stress_minutes = 0.05;
   spec.warmup_seconds = 1.0;
   spec.master_seed = 1999;
+  spec.audit_every_s = 1.0;
   const lab::ExperimentMatrix matrix(spec);
 
-  auto run = [&matrix](int jobs) {
-    lab::MatrixRunOptions options;
-    options.jobs = jobs;
-    options.isolate_failures = true;
-    options.audit_every_s = 1.0;
-    return matrix.Run(options);
-  };
-  const lab::MatrixResult serial = run(1);
-  const lab::MatrixResult parallel = run(4);
-  ASSERT_TRUE(serial.complete()) << serial.error;
-  ASSERT_TRUE(parallel.complete()) << parallel.error;
+  const lab::MatrixResult serial = matrix.Run(1);
+  const lab::MatrixResult parallel = matrix.Run(4);
   ASSERT_EQ(serial.merged.size(), 2u);
   for (std::size_t i = 0; i < serial.merged.size(); ++i) {
     SCOPED_TRACE(serial.merged[i].os_name);
@@ -138,59 +133,68 @@ TEST(SmpDeterminismTest, SmpMatrixBitReproducibleAcrossJobCounts) {
   }
 }
 
-// Leg 2c: interrupt an SMP matrix after 2 of 4 cells, resume from the
-// journal at --jobs 4, and compare against an uninterrupted run — the merged
-// artifact bytes must match exactly (journal restore re-imports per-cell
-// reports; any serialization loss for SMP cells would surface here).
+// Leg 2c: a 4-cell SMP grid (migrating DPCs, auditor armed) run as two
+// shards, one of which dies before writing anything, then resumed. The 2
+// verified records of the surviving shard are restored, the lost 2 re-run,
+// and the merged report must match an uninterrupted run byte for byte (any
+// record-codec loss for SMP cells would surface here).
 TEST(SmpDeterminismTest, SmpMatrixBitIdenticalAcrossResume) {
-  lab::MatrixSpec spec;
-  spec.oses = {kernel::MakeNt4SmpProfile(2, true)};
-  spec.workloads = {workload::GamesStress()};
-  spec.priorities = {28};
-  spec.trials = 4;
-  spec.stress_minutes = 0.05;
-  spec.warmup_seconds = 1.0;
+  lab::FleetSpec spec;
+  spec.name = "smp_resume";
   spec.master_seed = 1999;
-  const lab::ExperimentMatrix matrix(spec);
+  lab::FleetCohort smp;
+  smp.name = "smp2";
+  smp.os = "nt_smp2_migrate";
+  smp.workloads = {"games"};
+  smp.count = 4;
+  smp.stress_minutes = 0.05;
+  smp.warmup_seconds = 1.0;
+  spec.cohorts = {smp};
+  const lab::Fleet fleet(spec);
+  ASSERT_TRUE(fleet.error().empty()) << fleet.error();
 
-  auto digest = [](const lab::MatrixResult& result) {
-    std::uint64_t hash = kFnvOffset;
-    for (const lab::MergedCell& cell : result.merged) {
-      hash = Fnv1a(cell.os_name, hash);
-      hash = Fnv1a(cell.thread.ToCsv(), hash);
-      hash = Fnv1a(cell.dpc_interrupt.ToCsv(), hash);
-      hash = Fnv1a(cell.thread_interrupt.ToCsv(), hash);
-      hash = Fnv1a(cell.true_pit_interrupt_latency.ToCsv(), hash);
+  auto run_shards = [&fleet](const std::string& dir, std::size_t shards,
+                             std::vector<lab::FleetShardResult>* results) {
+    std::vector<std::string> paths;
+    for (std::size_t k = 0; k < shards; ++k) {
+      lab::FleetShardOptions options;
+      options.shard = k;
+      options.shards = shards;
+      options.jobs = 2;
+      options.audit_every_s = 1.0;
+      options.out_path = lab::FleetShardPath(dir, k, shards);
+      results->push_back(lab::RunFleetShard(fleet, options));
+      paths.push_back(options.out_path);
     }
-    return hash;
+    return paths;
+  };
+  auto merge = [&fleet](const std::vector<std::string>& paths) {
+    lab::FleetReport report;
+    std::string error;
+    EXPECT_TRUE(lab::MergeFleetShards(fleet, paths, &report, &error)) << error;
+    return lab::FleetReportToJson(report);
   };
 
-  lab::MatrixRunOptions straight;
-  straight.jobs = 4;
-  straight.isolate_failures = true;
-  straight.audit_every_s = 1.0;
-  const std::uint64_t want = digest(matrix.Run(straight));
+  std::vector<lab::FleetShardResult> straight;
+  const std::string want = merge(run_shards(test::TempDirFor("straight"), 1, &straight));
+  ASSERT_TRUE(straight[0].ok()) << straight[0].error;
+  ASSERT_EQ(straight[0].cells_executed, 4u);
 
-  const std::string journal =
-      (std::filesystem::path(testing::TempDir()) / "smp_resume.jsonl").string();
-  std::error_code ec;
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
+  const std::string dir = test::TempDirFor("resumed");
+  std::vector<lab::FleetShardResult> first;
+  const std::vector<std::string> paths = run_shards(dir, 2, &first);
+  std::filesystem::remove(paths[1]);  // shard 1 died before writing a record
 
-  lab::MatrixRunOptions first = straight;
-  first.journal_path = journal;
-  first.max_cells = 2;
-  (void)matrix.Run(first);
-
-  lab::MatrixRunOptions second = straight;
-  second.resume_path = journal;
-  const lab::MatrixResult resumed = matrix.Run(second);
-  EXPECT_TRUE(resumed.complete()) << resumed.error;
-  EXPECT_EQ(resumed.cells_restored, 2u);
-  EXPECT_EQ(digest(resumed), want);
-
-  std::filesystem::remove_all(journal + ".cells", ec);
-  std::filesystem::remove(journal, ec);
+  std::vector<lab::FleetShardResult> second;
+  ASSERT_EQ(run_shards(dir, 2, &second), paths);
+  std::uint64_t restored = 0;
+  for (const lab::FleetShardResult& result : second) {
+    EXPECT_TRUE(result.ok()) << result.error;
+    restored += result.cells_restored;
+  }
+  EXPECT_EQ(restored, 2u);
+  EXPECT_EQ(second[1].cells_executed, 2u);
+  EXPECT_EQ(merge(paths), want);
 }
 
 // --- Leg 3: cross-core fuzz -------------------------------------------------
