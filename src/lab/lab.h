@@ -92,16 +92,12 @@ struct RunSupervision {
   // Fixture for tests/CI: the first audit pass reports one injected
   // violation, proving the auditor fails the cell rather than the process.
   bool force_audit_violation = false;
-  // Black-box ring (borrowed): attached to the trace fanout for the whole
-  // run so a failure's diagnostic bundle can include the recent-event tail.
-  // Trace sinks are pure observers, so the run stays bit-identical.
-  kernel::TraceSession* black_box = nullptr;
   // Virtual slice length when no audit cadence dictates one.
   double slice_s = 1.0;
 
   bool enabled() const {
     return watchdog != nullptr || audit_every_s > 0.0 || audit_at_end ||
-           force_audit_violation || black_box != nullptr;
+           force_audit_violation;
   }
 };
 
@@ -121,7 +117,7 @@ struct LabConfig {
   // fault::Injector. Null or empty means no injector is constructed at all,
   // so the run is bit-identical to one without the fault subsystem.
   const fault::FaultPlan* faults = nullptr;
-  // Watchdog/auditor/black-box hooks (see RunSupervision).
+  // Watchdog and auditor hooks (see RunSupervision).
   RunSupervision supervision;
 };
 

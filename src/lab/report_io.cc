@@ -220,7 +220,8 @@ void AppendSketch(std::string& out, const char* name, const stats::QuantileSketc
     if (l != 0) out += ", ";
     AppendInt(out, static_cast<int>(state.parities[l]));
   }
-  // Tail heap order is exported verbatim so the import is bit-identical.
+  // Tail order (heap or sorted) is exported verbatim so the import is
+  // bit-identical.
   out += "], \"tail\": ";
   AppendHexArray(out, state.tail);
   out += ", \"count\": \"";
@@ -245,6 +246,7 @@ std::size_t SketchTextBound(const stats::QuantileSketch::State& state) {
 }
 
 bool ReadU64(obs::JsonCursor& in, const char* field, std::uint64_t* out) {
+  in.Peek();  // past any whitespace, so an error points at the string
   const std::size_t at = in.offset();
   std::string_view text;
   if (!in.ReadString(&text)) {
@@ -256,6 +258,7 @@ bool ReadU64(obs::JsonCursor& in, const char* field, std::uint64_t* out) {
 }
 
 bool ReadHexDouble(obs::JsonCursor& in, const char* field, double* out) {
+  in.Peek();  // past any whitespace, so an error points at the string
   const std::size_t at = in.offset();
   std::string_view text;
   if (!in.ReadString(&text)) {

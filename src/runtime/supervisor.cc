@@ -70,9 +70,6 @@ std::string CellFailure::Render() const {
   out << "cell " << cell << " seed " << seed << " failed [" << FailureKindName(kind)
       << "] after " << attempts << (attempts == 1 ? " attempt" : " attempts") << " ("
       << elapsed_ms << " ms): " << message;
-  for (const std::string& line : diagnostics) {
-    out << "\n  | " << line;
-  }
   return out.str();
 }
 
@@ -82,8 +79,7 @@ Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
 
 std::optional<CellFailure> Supervisor::RunCell(
     std::size_t cell, std::uint64_t seed,
-    const std::function<void(int attempt, Watchdog& watchdog)>& body,
-    const std::function<void(CellFailure&)>& diagnose) {
+    const std::function<void(int attempt, Watchdog& watchdog)>& body) {
   ++cells_run_;
   Watchdog watchdog;
   double backoff_ms = options_.retry_backoff_ms;
@@ -116,7 +112,6 @@ std::optional<CellFailure> Supervisor::RunCell(
     const bool retryable = failure.kind == FailureKind::kHostTransient &&
                            attempt < options_.max_attempts;
     if (!retryable) {
-      if (diagnose) diagnose(failure);
       return failure;
     }
     ++retries_;

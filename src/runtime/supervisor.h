@@ -5,8 +5,7 @@
 // worst cases) only exist if multi-hour loaded runs complete reliably, so a
 // single throwing cell must not discard the whole run. The supervisor wraps
 // each cell body in an exception barrier that converts any escaping
-// exception into a structured CellFailure (taxonomy + message + diagnostic
-// bundle filled in by the caller), arms a host-clock watchdog that the cell
+// exception into a structured CellFailure (taxonomy + message), arms a host-clock watchdog that the cell
 // polls cooperatively between simulation slices, and retries host-transient
 // failures a bounded number of times with exponential backoff — reusing the
 // same seed, so a retry that succeeds is bit-identical to a first-attempt
@@ -30,7 +29,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace wdmlat::runtime {
 
@@ -107,12 +105,8 @@ struct CellFailure {
   std::string message;
   int attempts = 1;
   double elapsed_ms = 0.0;
-  // Diagnostic bundle: flight-recorder tail, metrics snapshot, audit report.
-  // Filled by the caller's diagnose hook (the supervisor itself is
-  // simulation-agnostic).
-  std::vector<std::string> diagnostics;
 
-  // One-paragraph rendering (taxonomy, message, bundle) for logs.
+  // One-line rendering (cell, seed, taxonomy, attempts, message) for logs.
   std::string Render() const;
 };
 
@@ -134,12 +128,10 @@ class Supervisor {
 
   // Run `body(attempt, watchdog)` under the exception barrier. The watchdog
   // is re-armed for every attempt; attempts are 1-based. Returns nullopt on
-  // success, or the structured failure of the last attempt. `diagnose`, when
-  // set, runs once on the final failure to attach the diagnostic bundle.
+  // success, or the structured failure of the last attempt.
   std::optional<CellFailure> RunCell(
       std::size_t cell, std::uint64_t seed,
-      const std::function<void(int attempt, Watchdog& watchdog)>& body,
-      const std::function<void(CellFailure&)>& diagnose = nullptr);
+      const std::function<void(int attempt, Watchdog& watchdog)>& body);
 
   std::uint64_t cells_run() const { return cells_run_.load(std::memory_order_relaxed); }
   std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }

@@ -1,14 +1,60 @@
 #include "src/stats/quantile_sketch.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <iterator>
+#include <utility>
 
 namespace wdmlat::stats {
 
+namespace {
+
+// Sorts sample values ascending. Sketch values are finite or +inf and never
+// negative or -0.0, so their bit patterns order exactly like the values: an
+// LSD radix sort over the 8 bytes of each pattern, skipping every byte all
+// values share (the sign and most exponent bits of a latency population),
+// gives std::sort's result bit for bit at a fraction of its cost.
+void SortSampleValues(std::vector<double>& values) {
+  const std::size_t n = values.size();
+  if (n < 64) {
+    std::sort(values.begin(), values.end());
+    return;
+  }
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const double value : values) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+    for (std::size_t b = 0; b < 8; ++b) {
+      ++counts[b][(bits >> (8 * b)) & 0xff];
+    }
+  }
+  const std::uint64_t first = std::bit_cast<std::uint64_t>(values.front());
+  std::vector<double> sorted(n);
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::uint32_t, 256>& offsets = counts[b];
+    if (offsets[(first >> (8 * b)) & 0xff] == n) {
+      continue;
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& offset : offsets) {
+      sum += std::exchange(offset, sum);
+    }
+    for (const double value : values) {
+      sorted[offsets[(std::bit_cast<std::uint64_t>(value) >> (8 * b)) & 0xff]++] = value;
+    }
+    values.swap(sorted);
+  }
+}
+
+}  // namespace
+
 void QuantileSketch::RecordMs(double ms) {
-  assert(ms >= 0.0);
+  // -0.0 is excluded along with negatives: it equals 0.0 yet has other bits,
+  // and the sorted tail fold relies on equal values being identical.
+  assert(ms >= 0.0 && !std::signbit(ms));
   if (count_ == 0) {
     min_ms_ = max_ms_ = ms;
   } else {
@@ -52,7 +98,7 @@ void QuantileSketch::CompactLevel(std::size_t level) {
     parities_.push_back(0);
   }
   std::vector<double>& buf = levels_[level];
-  std::sort(buf.begin(), buf.end());
+  SortSampleValues(buf);
   std::size_t n = buf.size();
   const bool carry = (n % 2) == 1;
   if (carry) {
@@ -102,10 +148,15 @@ double QuantileSketch::QuantileMs(double q) const {
   const std::uint64_t above = count_ - target_rank;  // samples above the target
   if (above < tail_.size()) {
     // The reservoir holds the top min(count, kTailCapacity) samples, so this
-    // rank is answered with the exact recorded value.
-    std::vector<double> sorted(tail_);
-    std::sort(sorted.begin(), sorted.end());
-    return sorted[sorted.size() - 1 - static_cast<std::size_t>(above)];
+    // rank is answered with the exact recorded value. A merged reservoir is
+    // already sorted; only a recorded one (heap order) needs a selection.
+    const std::size_t index = tail_.size() - 1 - static_cast<std::size_t>(above);
+    if (std::is_sorted(tail_.begin(), tail_.end())) {
+      return tail_[index];
+    }
+    std::vector<double> selected(tail_);
+    std::nth_element(selected.begin(), selected.begin() + index, selected.end());
+    return selected[index];
   }
   // Weighted-rank estimate over the compactor items (their weights sum to
   // count by the conservation invariant).
@@ -162,17 +213,45 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
     levels_[l].insert(levels_[l].end(), other.levels_[l].begin(), other.levels_[l].end());
   }
   CompactCascade();
-  // Tail: top-K of a multiset union — exact and order-independent.
-  std::vector<double> merged;
-  merged.reserve(tail_.size() + other.tail_.size());
-  merged.insert(merged.end(), tail_.begin(), tail_.end());
-  merged.insert(merged.end(), other.tail_.begin(), other.tail_.end());
-  std::sort(merged.begin(), merged.end());
-  if (merged.size() > kTailCapacity) {
-    merged.erase(merged.begin(), merged.end() - kTailCapacity);
+  MergeTail(other.tail_);
+}
+
+void QuantileSketch::MergeTail(const std::vector<double>& other_tail) {
+  // Top-K of a multiset union — exact and order-independent. A merged
+  // reservoir stays sorted ascending, which is already a min-heap (and what
+  // std::make_heap leaves a sorted range as), so TailInsert can keep using
+  // it and the exported bits equal a sort of the whole union. Only a tail
+  // that recorded samples since its last merge needs sorting here.
+  if (!std::is_sorted(tail_.begin(), tail_.end())) {
+    SortSampleValues(tail_);
+  }
+  // A full reservoir keeps no incoming value at or below its floor: an equal
+  // value is the same bits (RecordMs and ImportState exclude -0.0).
+  std::vector<double> incoming;
+  if (tail_.size() < kTailCapacity) {
+    incoming = other_tail;
+  } else {
+    const double floor = tail_.front();
+    std::copy_if(other_tail.begin(), other_tail.end(), std::back_inserter(incoming),
+                 [floor](double ms) { return ms > floor; });
+  }
+  if (incoming.empty()) {
+    return;
+  }
+  SortSampleValues(incoming);
+  // Merge from the top: the largest min(K, |union|) values, written back to
+  // front.
+  std::vector<double> merged(std::min(kTailCapacity, tail_.size() + incoming.size()));
+  auto kept = tail_.end();
+  auto in = incoming.end();
+  for (auto out = merged.end(); out != merged.begin();) {
+    if (in == incoming.begin() || (kept != tail_.begin() && *(kept - 1) >= *(in - 1))) {
+      *--out = *--kept;
+    } else {
+      *--out = *--in;
+    }
   }
   tail_ = std::move(merged);
-  std::make_heap(tail_.begin(), tail_.end(), std::greater<>());
 }
 
 void QuantileSketch::Reset() { *this = QuantileSketch(); }
@@ -204,7 +283,7 @@ bool QuantileSketch::ImportState(const State& state) {
       return false;
     }
     for (const double value : state.levels[l]) {
-      if (!std::isfinite(value) || value < 0.0) {
+      if (!std::isfinite(value) || std::signbit(value)) {
         return false;
       }
     }
@@ -221,7 +300,7 @@ bool QuantileSketch::ImportState(const State& state) {
     }
   }
   for (const double value : state.tail) {
-    if (!std::isfinite(value) || value < 0.0) {
+    if (!std::isfinite(value) || std::signbit(value)) {
       return false;
     }
   }

@@ -69,7 +69,7 @@ class QuantileSketch {
   struct State {
     std::vector<std::vector<double>> levels;   // levels[l]: items of weight 2^l
     std::vector<std::uint8_t> parities;        // next compaction offset per level
-    std::vector<double> tail;                  // top-K reservoir, heap order
+    std::vector<double> tail;                  // top-K reservoir, min-heap order
     std::uint64_t count = 0;
     double sum_ms = 0.0;
     double min_ms = 0.0;
@@ -79,17 +79,20 @@ class QuantileSketch {
   // Replace *this with `state`. Returns false — leaving *this Reset() — on a
   // malformed snapshot: weight conservation broken (sum over levels of
   // |level|*2^l != count), mismatched parity vector, oversized buffers, or
-  // non-finite / negative values.
+  // non-finite / negative values (-0.0 included).
   bool ImportState(const State& state);
 
  private:
   void CompactLevel(std::size_t level);
   void CompactCascade();
   void TailInsert(double ms);
+  void MergeTail(const std::vector<double>& other_tail);
 
   std::vector<std::vector<double>> levels_;  // levels_[l] holds weight-2^l items
   std::vector<std::uint8_t> parities_;       // alternating compaction offsets
-  std::vector<double> tail_;                 // min-heap of the largest samples
+  // Min-heap of the largest samples; sorted ascending (a min-heap too)
+  // after every Merge.
+  std::vector<double> tail_;
   std::uint64_t count_ = 0;
   double sum_ms_ = 0.0;
   double min_ms_ = 0.0;

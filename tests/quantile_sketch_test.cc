@@ -1,17 +1,21 @@
 // QuantileSketch: accuracy against exact order statistics, deep-tail
 // exactness, merge determinism (the grid-order contract the matrix relies
-// on), resume round-trips, and snapshot hardening.
+// on), resume round-trips, snapshot hardening, and the linear tail fold's
+// bit-equality with the sort-based fold it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/kernel/profile.h"
 #include "src/lab/matrix.h"
+#include "src/lab/report_io.h"
 #include "src/stats/quantile_sketch.h"
 #include "src/workload/stress_profile.h"
 
@@ -103,18 +107,31 @@ TEST(QuantileSketchTest, DeepTailIsExactOnTenMillionSamples) {
   EXPECT_EQ(sketch.QuantileMs(1.0), samples.back());
 }
 
+using SketchState = stats::QuantileSketch::State;
+
+bool SameDoubleBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 // Bitwise equality of two sketch states — the determinism the grid-order
 // merge and fleet resume promise.
+void ExpectSameState(const SketchState& actual, const SketchState& expected,
+                     const std::string& where) {
+  EXPECT_TRUE(SameDoubleBits(actual.tail, expected.tail)) << where << ": tail";
+  ASSERT_EQ(actual.levels.size(), expected.levels.size()) << where;
+  for (std::size_t l = 0; l < actual.levels.size(); ++l) {
+    EXPECT_TRUE(SameDoubleBits(actual.levels[l], expected.levels[l])) << where << ": level " << l;
+  }
+  EXPECT_EQ(actual.parities, expected.parities) << where;
+  EXPECT_EQ(actual.count, expected.count) << where;
+  EXPECT_TRUE(SameDoubleBits({actual.sum_ms, actual.min_ms, actual.max_ms},
+                             {expected.sum_ms, expected.min_ms, expected.max_ms}))
+      << where << ": scalars";
+}
+
 void ExpectSameBits(const stats::QuantileSketch& a, const stats::QuantileSketch& b) {
-  const stats::QuantileSketch::State sa = a.ExportState();
-  const stats::QuantileSketch::State sb = b.ExportState();
-  EXPECT_EQ(sa.count, sb.count);
-  EXPECT_EQ(sa.levels, sb.levels);
-  EXPECT_EQ(sa.parities, sb.parities);
-  EXPECT_EQ(sa.tail, sb.tail);
-  EXPECT_EQ(sa.sum_ms, sb.sum_ms);
-  EXPECT_EQ(sa.min_ms, sb.min_ms);
-  EXPECT_EQ(sa.max_ms, sb.max_ms);
+  ExpectSameState(a.ExportState(), b.ExportState(), "sketch");
 }
 
 TEST(QuantileSketchTest, GridOrderMergeIsAPureFunctionOfOperands) {
@@ -222,6 +239,305 @@ TEST(QuantileSketchTest, ImportRejectsCorruptSnapshots) {
   bad = good;
   bad.tail.pop_back();
   EXPECT_FALSE(target.ImportState(bad));
+}
+
+TEST(QuantileSketchTest, ImportRejectsNegativeZero) {
+  // -0.0 == 0.0, so a sort may order the two either way; the sorted tail
+  // fold is bit-exact only because no sketch ever holds a -0.0.
+  stats::QuantileSketch source;
+  for (int i = 0; i < 1000; ++i) {
+    source.RecordMs(i % 2 == 0 ? 0.0 : 0.5);
+  }
+  const stats::QuantileSketch::State good = source.ExportState();
+  stats::QuantileSketch target;
+  ASSERT_TRUE(target.ImportState(good));
+
+  stats::QuantileSketch::State bad = good;
+  const auto zero_in_tail = std::find(bad.tail.begin(), bad.tail.end(), 0.0);
+  ASSERT_NE(zero_in_tail, bad.tail.end());
+  *zero_in_tail = -0.0;
+  EXPECT_FALSE(target.ImportState(bad));
+
+  bad = good;
+  ASSERT_FALSE(bad.levels.empty());
+  ASSERT_FALSE(bad.levels.front().empty());
+  bad.levels.front().front() = -0.0;
+  EXPECT_FALSE(target.ImportState(bad));
+}
+
+// --- Linear tail fold vs the sort-based fold ---------------------------------
+
+void ReferenceCompactLevel(SketchState& s, std::size_t level) {
+  if (s.levels.size() <= level + 1) {
+    s.levels.emplace_back();
+    s.parities.push_back(0);
+  }
+  std::vector<double>& buf = s.levels[level];
+  std::sort(buf.begin(), buf.end());
+  std::size_t n = buf.size();
+  const bool carry = (n % 2) == 1;
+  if (carry) {
+    --n;
+  }
+  if (n == 0) {
+    return;
+  }
+  const std::size_t offset = s.parities[level];
+  s.parities[level] ^= 1;
+  std::vector<double>& up = s.levels[level + 1];
+  for (std::size_t i = offset; i < n; i += 2) {
+    up.push_back(buf[i]);
+  }
+  if (carry) {
+    buf.front() = buf.back();
+    buf.resize(1);
+  } else {
+    buf.clear();
+  }
+}
+
+// QuantileSketch::Merge as it stood before the tail fold went linear:
+// concatenate both reservoirs, sort, keep the top K, rebuild the heap. The
+// linear fold must reproduce its every bit.
+SketchState ReferenceMerge(SketchState acc, const SketchState& other) {
+  if (other.count == 0) {
+    return acc;
+  }
+  if (acc.count == 0) {
+    acc.min_ms = other.min_ms;
+    acc.max_ms = other.max_ms;
+  } else {
+    acc.min_ms = std::min(acc.min_ms, other.min_ms);
+    acc.max_ms = std::max(acc.max_ms, other.max_ms);
+  }
+  acc.count += other.count;
+  acc.sum_ms += other.sum_ms;
+  while (acc.levels.size() < other.levels.size()) {
+    acc.levels.emplace_back();
+    acc.parities.push_back(other.parities[acc.levels.size() - 1]);
+  }
+  for (std::size_t l = 0; l < other.levels.size(); ++l) {
+    acc.levels[l].insert(acc.levels[l].end(), other.levels[l].begin(), other.levels[l].end());
+  }
+  for (std::size_t l = 0; l < acc.levels.size(); ++l) {
+    while (acc.levels[l].size() >= stats::QuantileSketch::kCompactorCapacity) {
+      ReferenceCompactLevel(acc, l);
+    }
+  }
+  std::vector<double> merged;
+  merged.insert(merged.end(), acc.tail.begin(), acc.tail.end());
+  merged.insert(merged.end(), other.tail.begin(), other.tail.end());
+  std::sort(merged.begin(), merged.end());
+  if (merged.size() > stats::QuantileSketch::kTailCapacity) {
+    merged.erase(merged.begin(), merged.end() - stats::QuantileSketch::kTailCapacity);
+  }
+  acc.tail = std::move(merged);
+  std::make_heap(acc.tail.begin(), acc.tail.end(), std::greater<>());
+  return acc;
+}
+
+struct FoldStep {
+  enum Kind {
+    kMergeCell,    // fold a fresh cell of n recorded samples
+    kMergeFolded,  // fold a cell that is itself a fold of two n/2-sample cells
+    kRecord,       // record n samples straight into the accumulator
+  };
+  Kind kind;
+  std::size_t n;
+};
+
+using ValueFn = std::function<double(DetRng&)>;
+
+stats::QuantileSketch RecordedCell(std::size_t n, DetRng& rng, const ValueFn& value) {
+  stats::QuantileSketch cell;
+  for (std::size_t i = 0; i < n; ++i) {
+    cell.RecordMs(value(rng));
+  }
+  return cell;
+}
+
+// Runs `steps` on `acc`, checking every fold against ReferenceMerge applied
+// to the same two operand states.
+void CheckFoldSequence(const std::string& name, stats::QuantileSketch acc,
+                       const std::vector<FoldStep>& steps, const ValueFn& value) {
+  DetRng rng(lab::Fnv1a64(name));
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const FoldStep& step = steps[s];
+    if (step.kind == FoldStep::kRecord) {
+      for (std::size_t i = 0; i < step.n; ++i) {
+        acc.RecordMs(value(rng));
+      }
+      continue;
+    }
+    stats::QuantileSketch cell;
+    if (step.kind == FoldStep::kMergeCell) {
+      cell = RecordedCell(step.n, rng, value);
+    } else {
+      cell = RecordedCell(step.n / 2, rng, value);
+      cell.Merge(RecordedCell(step.n - step.n / 2, rng, value));
+    }
+    const SketchState expected = ReferenceMerge(acc.ExportState(), cell.ExportState());
+    acc.Merge(cell);
+    ExpectSameState(acc.ExportState(), expected, name + " step " + std::to_string(s));
+  }
+}
+
+double Latency(DetRng& rng) { return rng.NextLatencyMs(); }
+
+constexpr std::size_t kK = stats::QuantileSketch::kTailCapacity;
+
+TEST(QuantileSketchFold, UnderCapacityTailsMatchSortedFold) {
+  CheckFoldSequence("under_capacity", {},
+                    {{FoldStep::kMergeCell, 100},
+                     {FoldStep::kMergeCell, 1},
+                     {FoldStep::kMergeCell, 3000},
+                     {FoldStep::kMergeFolded, 500},
+                     {FoldStep::kMergeCell, 250}},
+                    Latency);
+}
+
+TEST(QuantileSketchFold, ExactlyFullReservoirMatchesSortedFold) {
+  CheckFoldSequence("exactly_k_parts", {},
+                    {{FoldStep::kMergeCell, 8000},
+                     {FoldStep::kMergeCell, kK - 8000},
+                     {FoldStep::kMergeCell, 1},
+                     {FoldStep::kMergeCell, kK}},
+                    Latency);
+  CheckFoldSequence("exactly_k_cell", {},
+                    {{FoldStep::kMergeCell, kK}, {FoldStep::kMergeCell, kK}}, Latency);
+}
+
+TEST(QuantileSketchFold, FullReservoirsWithHeavyDuplicatesMatchSortedFold) {
+  // 64 distinct values: nearly every incoming value ties the reservoir floor.
+  const ValueFn coarse = [](DetRng& rng) {
+    return 0.125 * std::floor(64.0 * rng.NextUnit());
+  };
+  CheckFoldSequence("heavy_duplicates", {},
+                    {{FoldStep::kMergeCell, 20000},
+                     {FoldStep::kMergeCell, 1500},
+                     {FoldStep::kMergeCell, 1500},
+                     {FoldStep::kMergeFolded, 3000},
+                     {FoldStep::kMergeCell, 40000},
+                     {FoldStep::kMergeCell, kK}},
+                    coarse);
+}
+
+TEST(QuantileSketchFold, AllEqualAndZeroValuesMatchSortedFold) {
+  const std::vector<FoldStep> steps = {{FoldStep::kMergeCell, 20000},
+                                       {FoldStep::kMergeCell, 1500},
+                                       {FoldStep::kMergeCell, kK},
+                                       {FoldStep::kMergeCell, 3}};
+  CheckFoldSequence("all_equal", {}, steps, [](DetRng&) { return 0.375; });
+  CheckFoldSequence("all_zero", {}, steps, [](DetRng&) { return 0.0; });
+  CheckFoldSequence("mostly_zero", {}, steps, [](DetRng& rng) {
+    return rng.NextUnit() < 0.9 ? 0.0 : rng.NextLatencyMs();
+  });
+}
+
+TEST(QuantileSketchFold, WideExponentRangeMatchesSortedFold) {
+  // Values from subnormals to 1e300: every byte of the bit patterns varies.
+  const ValueFn wide = [](DetRng& rng) {
+    return std::ldexp(rng.NextUnit(), static_cast<int>(2100.0 * rng.NextUnit()) - 1074);
+  };
+  CheckFoldSequence("wide_range", {},
+                    {{FoldStep::kMergeCell, 20000},
+                     {FoldStep::kMergeCell, 1500},
+                     {FoldStep::kMergeFolded, 40000},
+                     {FoldStep::kRecord, 300},
+                     {FoldStep::kMergeCell, 100}},
+                    wide);
+}
+
+TEST(QuantileSketchFold, ImportedHeapOrderedTailMatchesSortedFold) {
+  // A recorded sketch's tail is in heap order, not sorted; restored through
+  // ImportState it must fold exactly like the original.
+  DetRng rng(41);
+  const stats::QuantileSketch recorded = RecordedCell(30000, rng, Latency);
+  stats::QuantileSketch imported;
+  ASSERT_TRUE(imported.ImportState(recorded.ExportState()));
+  ASSERT_FALSE(std::is_sorted(imported.ExportState().tail.begin(),
+                              imported.ExportState().tail.end()));
+  CheckFoldSequence("imported_heap_tail", imported,
+                    {{FoldStep::kMergeCell, 1500},
+                     {FoldStep::kMergeFolded, 40000},
+                     {FoldStep::kMergeCell, 100}},
+                    Latency);
+}
+
+TEST(QuantileSketchFold, RecordingAfterAMergeFallsBackToASortedFold) {
+  // Recording into a merged sketch leaves its tail heap-ordered again; the
+  // next fold must notice and still match.
+  CheckFoldSequence("record_after_merge", {},
+                    {{FoldStep::kMergeCell, 20000},
+                     {FoldStep::kRecord, 5000},
+                     {FoldStep::kMergeCell, 1500},
+                     {FoldStep::kRecord, 100},
+                     {FoldStep::kMergeCell, kK},
+                     {FoldStep::kRecord, 1},
+                     {FoldStep::kMergeFolded, 3000}},
+                    Latency);
+}
+
+TEST(QuantileSketchFold, FleetScreenShapeMatchesSortedFold) {
+  // ~1.5k-sample cells folded into a cohort until the reservoir fills and
+  // most incoming values fall below its floor.
+  std::vector<FoldStep> steps(48, FoldStep{FoldStep::kMergeCell, 1500});
+  CheckFoldSequence("fleet_screen", {}, steps, Latency);
+}
+
+std::uint64_t StateFnv(const SketchState& state) {
+  std::string bytes;
+  const auto put = [&bytes](const void* data, std::size_t size) {
+    bytes.append(static_cast<const char*>(data), size);
+  };
+  const auto put_doubles = [&](const std::vector<double>& values) {
+    const std::uint64_t n = values.size();
+    put(&n, sizeof(n));
+    put(values.data(), values.size() * sizeof(double));
+  };
+  put(&state.count, sizeof(state.count));
+  put(&state.sum_ms, sizeof(state.sum_ms));
+  put(&state.min_ms, sizeof(state.min_ms));
+  put(&state.max_ms, sizeof(state.max_ms));
+  put(state.parities.data(), state.parities.size());
+  for (const std::vector<double>& level : state.levels) {
+    put_doubles(level);
+  }
+  put_doubles(state.tail);
+  return lab::Fnv1a64(bytes);
+}
+
+TEST(QuantileSketchFold, GoldenFoldOfFullReservoirs) {
+  // Pinned from the sort-based fold: four cells whose reservoirs are all
+  // full, so every fold after the first takes the floor-filtered path.
+  DetRng rng(2027);
+  stats::QuantileSketch fold;
+  for (int c = 0; c < 4; ++c) {
+    fold.Merge(RecordedCell(20000, rng, Latency));
+  }
+  ASSERT_EQ(fold.ExportState().tail.size(), kK);
+  EXPECT_EQ(StateFnv(fold.ExportState()), 0x82a35150381078beull);
+}
+
+TEST(QuantileSketchFold, MakeHeapLeavesSortedInputUnchanged) {
+  // The fold keeps a merged reservoir sorted ascending and exports it as
+  // is, where the old fold exported make_heap of the sorted reservoir. The
+  // two agree only because make_heap leaves a sorted range alone; a
+  // standard library where it does not must fail here.
+  DetRng rng(5);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{7}, std::size_t{64}, std::size_t{1000}, kK}) {
+    for (const double levels : {4.0, 1e9}) {
+      std::vector<double> sorted(n);
+      for (double& value : sorted) {
+        value = std::floor(levels * rng.NextUnit());
+      }
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<double> heap = sorted;
+      std::make_heap(heap.begin(), heap.end(), std::greater<>());
+      EXPECT_TRUE(SameDoubleBits(heap, sorted)) << "n=" << n << " levels=" << levels;
+    }
+  }
 }
 
 // End-to-end: the matrix's merged sketch is bit-identical across --jobs —

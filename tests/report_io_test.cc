@@ -1,6 +1,7 @@
 // The bit-exact record dialect (src/lab/report_io): hexfloat doubles, the
-// FNV-1a checksum and validated histogram state import — the bit-exactness
-// that makes a resumed fleet merge identical to a fresh one.
+// FNV-1a checksum, validated histogram state import and reader error
+// positions — the bit-exactness that makes a resumed fleet merge identical
+// to a fresh one.
 
 #include "src/lab/report_io.h"
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "src/sim/time.h"
 #include "src/stats/histogram.h"
@@ -54,6 +56,31 @@ TEST(ReportIoTest, Fnv1a64KnownVectors) {
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
   EXPECT_NE(Fnv1a64("journal"), Fnv1a64("journa l"));
+}
+
+TEST(ReportIoTest, ReaderErrorsPointAtTheValueNotTheWhitespaceBeforeIt) {
+  std::string_view key;
+  obs::JsonCursor u64(R"({"n":   "12x"})");
+  ASSERT_TRUE(u64.BeginObject());
+  ASSERT_TRUE(u64.NextMember(&key));
+  std::uint64_t count = 0;
+  EXPECT_FALSE(report_json::ReadU64(u64, "n", &count));
+  std::size_t line = 0;
+  std::size_t column = 0;
+  u64.ErrorLineColumn(&line, &column);
+  EXPECT_EQ(line, 1u);
+  EXPECT_EQ(column, 9u) << u64.error();  // the opening quote of "12x"
+  EXPECT_EQ(u64.error(), "field \"n\" is not a decimal u64: 12x");
+
+  obs::JsonCursor hex("{\"h\":\n    \"1.5\"}");
+  ASSERT_TRUE(hex.BeginObject());
+  ASSERT_TRUE(hex.NextMember(&key));
+  double value = 0.0;
+  EXPECT_FALSE(report_json::ReadHexDouble(hex, "h", &value));
+  hex.ErrorLineColumn(&line, &column);
+  EXPECT_EQ(line, 2u);
+  EXPECT_EQ(column, 5u) << hex.error();
+  EXPECT_EQ(hex.error(), "field \"h\" is not a hexfloat: 1.5");
 }
 
 TEST(ReportIoTest, HistogramStateImportValidates) {

@@ -142,24 +142,17 @@ TEST(SupervisorTest, HostTransientExhaustsAttempts) {
   EXPECT_EQ(supervisor.retries(), 2u);
 }
 
-TEST(SupervisorTest, DiagnoseHookRunsOnceOnFinalFailure) {
+TEST(SupervisorTest, FinalFailureRendersCellSeedAndTaxonomy) {
   Supervisor supervisor(FastRetryOptions(2));
-  int diagnosed = 0;
-  const auto failure = supervisor.RunCell(
-      5, 9,
-      [](int, Watchdog&) { throw TransientError("flaky"); },
-      [&](CellFailure& f) {
-        ++diagnosed;
-        f.diagnostics.push_back("black-box tail line");
-      });
+  const auto failure =
+      supervisor.RunCell(5, 9, [](int, Watchdog&) { throw TransientError("flaky"); });
   ASSERT_TRUE(failure.has_value());
-  EXPECT_EQ(diagnosed, 1);
-  ASSERT_EQ(failure->diagnostics.size(), 1u);
+  EXPECT_EQ(failure->attempts, 2);
 
   const std::string rendered = failure->Render();
   EXPECT_NE(rendered.find("cell 5 seed 9"), std::string::npos);
-  EXPECT_NE(rendered.find("[host_transient]"), std::string::npos);
-  EXPECT_NE(rendered.find("| black-box tail line"), std::string::npos);
+  EXPECT_NE(rendered.find("[host_transient] after 2 attempts"), std::string::npos);
+  EXPECT_NE(rendered.find("): flaky"), std::string::npos);
 }
 
 TEST(SupervisorTest, NonStandardExceptionIsStillCaptured) {
