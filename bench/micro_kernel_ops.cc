@@ -84,7 +84,7 @@ void BM_DispatcherLaneRearm(benchmark::State& state) {
   options.kernel_self_noise = false;
   lab::TestSystem system(kernel::MakeNt4Profile(), 42, options);
   kernel::Kernel& k = system.kernel();
-  k.PsCreateSystemThread("bm_spin", 8, [&k] { k.Compute(1e9, [] {}); });
+  k.PsCreateSystemThread("bm_spin", 8, [&k]() -> kernel::ThreadBody { co_await k.Compute(1e9); });
   system.RunFor(0.001);
   const kernel::Label label{"BM", "_section"};
   for (auto _ : state) {
@@ -219,13 +219,12 @@ void BM_ThreadWakeRoundTrip(benchmark::State& state) {
   lab::TestSystem system(kernel::MakeNt4Profile(), 42, options);
   kernel::KEvent event;
   std::uint64_t wakes = 0;
-  std::function<void()> loop = [&] {
-    system.kernel().Wait(&event, [&] {
+  system.kernel().PsCreateSystemThread("bm", 28, [&]() -> kernel::ThreadBody {
+    for (;;) {
+      co_await system.kernel().Wait(&event);
       ++wakes;
-      loop();
-    });
-  };
-  system.kernel().PsCreateSystemThread("bm", 28, [&] { loop(); });
+    }
+  });
   system.RunFor(0.001);
   for (auto _ : state) {
     system.kernel().KeSetEvent(&event);
@@ -245,14 +244,13 @@ void BM_SmpDispatch(benchmark::State& state) {
   lab::TestSystem system(kernel::MakeNt4SmpProfile(2, false), 42, options);
   kernel::KEvent event;
   std::uint64_t wakes = 0;
-  std::function<void()> loop = [&] {
-    system.kernel().Wait(&event, [&] {
-      ++wakes;
-      loop();
-    });
-  };
   kernel::KThread* thread =
-      system.kernel().PsCreateSystemThread("bm_smp", 28, [&] { loop(); });
+      system.kernel().PsCreateSystemThread("bm_smp", 28, [&]() -> kernel::ThreadBody {
+        for (;;) {
+          co_await system.kernel().Wait(&event);
+          ++wakes;
+        }
+      });
   system.kernel().KeSetAffinityThread(thread, 0b10);  // pin to core 1
   system.RunFor(0.001);
   for (auto _ : state) {
@@ -273,14 +271,13 @@ void BM_SpinlockHandoff(benchmark::State& state) {
   lab::TestSystem system(kernel::MakeNt4SmpProfile(2, false), 42, options);
   kernel::KEvent event;
   std::uint64_t wakes = 0;
-  std::function<void()> loop = [&] {
-    system.kernel().Wait(&event, [&] {
-      ++wakes;
-      loop();
-    });
-  };
   kernel::KThread* thread =
-      system.kernel().PsCreateSystemThread("bm_lock", 28, [&] { loop(); });
+      system.kernel().PsCreateSystemThread("bm_lock", 28, [&]() -> kernel::ThreadBody {
+        for (;;) {
+          co_await system.kernel().Wait(&event);
+          ++wakes;
+        }
+      });
   system.kernel().KeSetAffinityThread(thread, 0b10);
   system.RunFor(0.001);
   for (auto _ : state) {

@@ -81,7 +81,7 @@ for flag in --os --workload --priority --minutes --seed --scanner --sounds \
             --episode-threshold-us --anatomy-out --sketch \
             --faults --differential --diff-out --diff-csv \
             --audit-every-s --matrix --jobs --trials \
-            --fleet --shards --shard --fleet-out --cell-timeout-ms --cell-retries \
+            --fleet --shards --shard --fleet-out --cell-timeout-ms \
             --help; do
   grep -q -- "${flag}" "${OUT}/help.txt" \
     || { echo "trace_smoke: --help is missing ${flag}" >&2; exit 1; }

@@ -133,12 +133,10 @@ constexpr const char kHelpText[] =
     "                             shard record file (spawned by the orchestrator;\n"
     "                             --jobs threads within the shard)\n"
     "  --fleet-out=DIR            fleet artifact directory (default fleet_out)\n"
-    "  --cell-timeout-ms=F        host-clock deadline budget per cell attempt\n"
-    "  --cell-retries=N           attempts for host-transient cell failures\n"
-    "                             (default 3)\n"
+    "  --cell-timeout-ms=F        host-clock deadline budget per cell\n"
     "  --shard-timeout-s=F        supervisor liveness deadline: SIGKILL and retry\n"
     "                             a worker whose shard file stops growing for F\n"
-    "                             host seconds (0 = off; classified host_transient)\n"
+    "                             host seconds (0 = off)\n"
     "  --shard-retries=N          attempts per shard window before poisoned-cell\n"
     "                             bisection starts (default 3)\n"
     "  --speculate                re-dispatch the slowest shard's remaining cells\n"
@@ -305,7 +303,6 @@ struct Flags {
   std::string shard;
   std::string fleet_out = "fleet_out";
   double cell_timeout_ms = 0.0;
-  int cell_retries = 3;
   double shard_timeout_s = 0.0;
   int shard_retries = 3;
   bool speculate = false;
@@ -378,7 +375,6 @@ Flags ParseFlags(int argc, char** argv) {
       {"--shard", &f.shard},
       {"--fleet-out", &f.fleet_out},
       {"--cell-timeout-ms", &f.cell_timeout_ms},
-      {"--cell-retries", &f.cell_retries},
       {"--shard-timeout-s", &f.shard_timeout_s},
       {"--shard-retries", &f.shard_retries},
       {"--speculate", &f.speculate},
@@ -471,10 +467,9 @@ void Validate(const Flags& f) {
                             f.chaos_delay_ms > 0.0;
   const bool supervisor_flags = f.shard_timeout_s > 0.0 || f.shard_retries != 3 ||
                                 f.speculate || f.chaos_seed.has_value();
-  const bool cell_supervision_flags = f.cell_timeout_ms != 0.0 || f.cell_retries != 3;
-  if ((worker_flags || supervisor_flags || cell_supervision_flags || f.poison_cell >= 0) &&
+  if ((worker_flags || supervisor_flags || f.cell_timeout_ms != 0.0 || f.poison_cell >= 0) &&
       f.fleet.empty()) {
-    Die("--cell-timeout-ms/--cell-retries/--shard-timeout-s/--shard-retries/"
+    Die("--cell-timeout-ms/--shard-timeout-s/--shard-retries/"
         "--speculate/--chaos-seed/--poison-cell/--cell-lo/--cell-hi/--quarantine/"
         "--shard-out/--chaos-kill-after-cells/--chaos-delay-ms are fleet flags and "
         "require --fleet");
@@ -487,9 +482,6 @@ void Validate(const Flags& f) {
   if (supervisor_flags && !f.shard.empty()) {
     Die("--shard-timeout-s/--shard-retries/--speculate/--chaos-seed are supervisor "
         "flags; drop --shard");
-  }
-  if (f.cell_retries < 1) {
-    Die("--cell-retries must be at least 1");
   }
   if (f.shard_retries < 1) {
     Die("--shard-retries must be at least 1");
@@ -876,7 +868,6 @@ int RunFleetWorker(const Flags& f, const lab::Fleet& fleet) {
                          ? lab::FleetShardPath(f.fleet_out, options.shard, options.shards)
                          : f.shard_out;
   options.supervision.cell_timeout_ms = f.cell_timeout_ms;
-  options.supervision.max_attempts = f.cell_retries;
   options.audit_every_s = f.audit_every_s;
   options.cell_lo = f.cell_lo;
   options.cell_hi = f.cell_hi;
@@ -979,9 +970,6 @@ int RunFleetOrchestrator(const Flags& f, const lab::Fleet& fleet, const char* ar
                     "--fleet-out=" + out_dir, "--jobs=1"};
     if (f.cell_timeout_ms > 0.0) {
       process.argv.push_back(DoubleArg("--cell-timeout-ms", f.cell_timeout_ms));
-    }
-    if (f.cell_retries != 3) {
-      process.argv.push_back("--cell-retries=" + std::to_string(f.cell_retries));
     }
     if (f.audit_every_s > 0.0) {
       process.argv.push_back(DoubleArg("--audit-every-s", f.audit_every_s));

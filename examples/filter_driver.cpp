@@ -67,29 +67,17 @@ FileSystemStack BuildStack(lab::TestSystem& system, vmm98::VirusScanner* scanner
 stats::LatencyHistogram MeasureReads(lab::TestSystem& system, int reads) {
   kernel::Kernel& k = system.kernel();
   stats::LatencyHistogram latency;
-  auto irp = std::make_shared<kernel::Irp>();
-  auto done = std::make_shared<kernel::KEvent>();
-  irp->on_complete = [&k, done](kernel::Irp*) { k.KeSetEvent(done.get()); };
-  auto remaining = std::make_shared<int>(reads);
-  // The loop refers to itself weakly and this function owns it: a closure
-  // holding its own shared_ptr is a reference cycle that is never freed.
-  auto loop = std::make_shared<std::function<void()>>();
-  *loop = [&, irp, done, remaining, again = std::weak_ptr(loop)] {
-    if (--*remaining < 0) {
-      k.ExitThread();
-      return;
-    }
-    const sim::Cycles start = k.GetCycleCount();
-    k.io().IoCallDriver(k.io().TopOfStack("\\Device\\Fat0"), irp.get(),
-                        kernel::IrpMajor::kRead);
-    k.Wait(done.get(), [&, start, again] {
+  kernel::Irp irp;
+  kernel::KEvent done;
+  irp.on_complete = [&k, &done](kernel::Irp*) { k.KeSetEvent(&done); };
+  k.PsCreateSystemThread("reader", 9, [&]() -> kernel::ThreadBody {
+    for (int i = 0; i < reads; ++i) {
+      const sim::Cycles start = k.GetCycleCount();
+      k.io().IoCallDriver(k.io().TopOfStack("\\Device\\Fat0"), &irp, kernel::IrpMajor::kRead);
+      co_await k.Wait(&done);
       latency.Record(k.GetCycleCount() - start);
-      if (auto loop = again.lock()) {
-        (*loop)();
-      }
-    });
-  };
-  k.PsCreateSystemThread("reader", 9, [loop] { (*loop)(); });
+    }
+  });
   system.RunFor(60.0 * 5);
   return latency;
 }

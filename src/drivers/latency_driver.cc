@@ -48,7 +48,7 @@ void LatencyDriver::Start() {
 
   // Create a kernel mode thread executing LatThreadFunc() (2.2.1/2.2.4).
   lat_thread_ = kernel_.PsCreateSystemThread("LatThread", cfg_.thread_priority,
-                                             [this] { LatThreadFunc(); });
+                                             [this] { return LatThreadFunc(); });
 
   // The control application: opens the device and loops on ReadFileEx. The
   // I/O manager delivers the ReadFileEx completion routine as a user APC to
@@ -57,8 +57,8 @@ void LatencyDriver::Start() {
   irp_.on_complete = [this](kernel::Irp* /*irp*/) {
     kernel_.QueueUserApc(app_thread_, [this] { RecordSample(); });
   };
-  app_thread_ =
-      kernel_.PsCreateSystemThread("LatControlApp", cfg_.app_priority, [this] { AppLoop(); });
+  app_thread_ = kernel_.PsCreateSystemThread("LatControlApp", cfg_.app_priority,
+                                             [this] { return AppLoop(); });
 }
 
 void LatencyDriver::Stop() { stopped_ = true; }
@@ -100,34 +100,30 @@ void LatencyDriver::LatDpcRoutine() {
 }
 
 // Thread (2.2.4).
-void LatencyDriver::LatThreadFunc() {
-  kernel_.Wait(&event_, [this] {
+kernel::ThreadBody LatencyDriver::LatThreadFunc() {
+  for (;;) {
+    co_await kernel_.Wait(&event_);
     g_irp_->asb[2] = kernel_.GetCycleCount();
     // This completes the read, sending the data to the user mode app.
     kernel::Irp* irp = g_irp_;
     g_irp_ = nullptr;
     kernel_.IoCompleteRequest(irp);
-    LatThreadFunc();
-  });
+  }
 }
 
 // Control application: issue a read, wait for completion, record, repeat.
-void LatencyDriver::AppLoop() {
-  if (stopped_) {
-    kernel_.ExitThread();
-    return;
-  }
-  // User->kernel transition and driver dispatch cost, then the I/O manager
-  // routes the IRP_MJ_READ to the driver in this thread's context; the
-  // completion APC (which records the sample) is delivered by the alertable
-  // wait.
-  kernel_.Compute(cfg_.read_dispatch_us, [this] {
+kernel::ThreadBody LatencyDriver::AppLoop() {
+  while (!stopped_) {
+    // User->kernel transition and driver dispatch cost, then the I/O manager
+    // routes the IRP_MJ_READ to the driver in this thread's context; the
+    // completion APC (which records the sample) is delivered by the
+    // alertable wait.
+    co_await kernel_.Compute(cfg_.read_dispatch_us);
     kernel_.io().IoCallDriver(kernel_.io().TopOfStack("\\Device\\LatMeter"), &irp_,
                               kernel::IrpMajor::kRead);
-    kernel_.WaitAlertable(&io_done_, [this] {
-      kernel_.Compute(cfg_.app_processing_us, [this] { AppLoop(); });
-    });
-  });
+    co_await kernel_.WaitAlertable(&io_done_);
+    co_await kernel_.Compute(cfg_.app_processing_us);
+  }
 }
 
 void LatencyDriver::RecordSample() {

@@ -108,8 +108,8 @@ class LatencyDriver {
  private:
   void LatRead(kernel::Irp* irp);
   void LatDpcRoutine();
-  void LatThreadFunc();
-  void AppLoop();
+  kernel::ThreadBody LatThreadFunc();
+  kernel::ThreadBody AppLoop();
   void RecordSample();
 
   kernel::Kernel& kernel_;

@@ -30,7 +30,7 @@ void PeriodicTask::Start() {
   started_at_ = kernel_.GetCycleCount();
   if (cfg_.modality == Modality::kThread) {
     thread_ = kernel_.PsCreateSystemThread("Datapump", cfg_.thread_priority,
-                                           [this] { ThreadLoop(); });
+                                           [this] { return ThreadLoop(); });
   }
   kernel_.KeSetTimerPeriodicMs(&timer_, cfg_.period_ms, cfg_.period_ms, &dpc_);
 }
@@ -81,29 +81,22 @@ void PeriodicTask::CompleteCycle(sim::Cycles start) {
   }
 }
 
-void PeriodicTask::ThreadLoop() {
-  kernel_.Wait(&wake_, [this] { DrainOne(); });
-}
-
-void PeriodicTask::DrainOne() {
-  if (!running_) {
-    kernel_.ExitThread();
-    return;
-  }
-  if (pending_starts_.empty()) {
-    // The synchronization event coalesces signals; everything already
-    // drained — wait for the next cycle.
-    ThreadLoop();
-    return;
-  }
-  const sim::Cycles start = pending_starts_.front();
-  pending_starts_.pop_front();
-  kernel_.Compute(cfg_.compute_ms * 1000.0, [this, start] {
+kernel::ThreadBody PeriodicTask::ThreadLoop() {
+  co_await kernel_.Wait(&wake_);
+  while (running_) {
+    if (pending_starts_.empty()) {
+      // The synchronization event coalesces signals; everything already
+      // drained — wait for the next cycle.
+      co_await kernel_.Wait(&wake_);
+      continue;
+    }
+    const sim::Cycles start = pending_starts_.front();
+    pending_starts_.pop_front();
+    co_await kernel_.Compute(cfg_.compute_ms * 1000.0);
     if (running_) {
       CompleteCycle(start);
     }
-    DrainOne();
-  });
+  }
 }
 
 }  // namespace wdmlat::drivers

@@ -67,8 +67,7 @@ class PeriodicTask {
   void OnTimerExpiry();
   void OnComputationDone();
   void CompleteCycle(sim::Cycles start);
-  void ThreadLoop();
-  void DrainOne();
+  kernel::ThreadBody ThreadLoop();
 
   kernel::Kernel& kernel_;
   Config cfg_;

@@ -317,36 +317,33 @@ void Injector::EnsureInversionRig() {
   rig_ = std::make_unique<InversionRig>();
   kernel::Kernel& k = *targets_.kernel;
   rig_->holder = k.PsCreateSystemThread("fault-invert-holder", kHolderPriority,
-                                        [this] { HolderLoop(); });
+                                        [this] { return HolderLoop(); });
   rig_->victim = k.PsCreateSystemThread("fault-invert-victim", kVictimPriority,
-                                        [this] { VictimLoop(); });
+                                        [this] { return VictimLoop(); });
 }
 
-void Injector::HolderLoop() {
-  kernel::Kernel* k = targets_.kernel;
-  k->WaitForSemaphore(&rig_->hold_sem, [this, k] {
-    k->WaitForMutex(&rig_->mutex, [this, k] {
-      const double us = rig_->hold_us.empty() ? 100.0 : rig_->hold_us.front();
-      if (!rig_->hold_us.empty()) {
-        rig_->hold_us.pop_front();
-      }
-      k->ComputeAt(us, kernel::Irql::kPassive,
-                   kernel::Label{kFaultModule, "_InversionHold"}, [this, k] {
-                     k->KeReleaseMutex(&rig_->mutex);
-                     HolderLoop();
-                   });
-    });
-  });
+kernel::ThreadBody Injector::HolderLoop() {
+  kernel::Kernel& k = *targets_.kernel;
+  for (;;) {
+    co_await k.WaitForSemaphore(&rig_->hold_sem);
+    co_await k.WaitForMutex(&rig_->mutex);
+    const double us = rig_->hold_us.empty() ? 100.0 : rig_->hold_us.front();
+    if (!rig_->hold_us.empty()) {
+      rig_->hold_us.pop_front();
+    }
+    co_await k.ComputeAt(us, kernel::Irql::kPassive,
+                         kernel::Label{kFaultModule, "_InversionHold"});
+    k.KeReleaseMutex(&rig_->mutex);
+  }
 }
 
-void Injector::VictimLoop() {
-  kernel::Kernel* k = targets_.kernel;
-  k->WaitForSemaphore(&rig_->victim_sem, [this, k] {
-    k->WaitForMutex(&rig_->mutex, [this, k] {
-      k->KeReleaseMutex(&rig_->mutex);
-      VictimLoop();
-    });
-  });
+kernel::ThreadBody Injector::VictimLoop() {
+  kernel::Kernel& k = *targets_.kernel;
+  for (;;) {
+    co_await k.WaitForSemaphore(&rig_->victim_sem);
+    co_await k.WaitForMutex(&rig_->mutex);
+    k.KeReleaseMutex(&rig_->mutex);
+  }
 }
 
 }  // namespace wdmlat::fault

@@ -117,8 +117,8 @@ class Injector {
   void RunBurst(SpecState& state, int index);
   kernel::Label LabelFor(const SpecState& state) const;
   void EnsureInversionRig();
-  void HolderLoop();
-  void VictimLoop();
+  kernel::ThreadBody HolderLoop();
+  kernel::ThreadBody VictimLoop();
 
   InjectorTargets targets_;
   FaultPlan plan_;

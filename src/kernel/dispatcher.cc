@@ -114,8 +114,8 @@ void Dispatcher::AuditDiscipline(std::vector<std::string>* violations) const {
   if (busy_) {
     violations->push_back("gate is open (busy) outside any dispatcher entry point");
   }
-  if (in_continuation_) {
-    violations->push_back("thread continuation marked in-progress at a quiescent point");
+  if (in_body_) {
+    violations->push_back("thread body marked running at a quiescent point");
   }
   if (spin_waiting_ && dpc_frame_) {
     violations->push_back("core spinning for its DPC queue lock while a DPC frame is active");
@@ -205,24 +205,20 @@ void Dispatcher::ReadyThread(KThread* thread, sim::Cycles signaled_at) {
 }
 
 void Dispatcher::CurrentThreadSetSegment(sim::Cycles length, Irql irql, Label label,
-                                         KThread::Continuation done) {
-  assert(in_continuation_ && current_ != nullptr);
+                                         std::coroutine_handle<> body) {
+  assert(in_body_ && current_ != nullptr);
   assert(!current_->has_segment_ && "one compute segment at a time");
   current_->has_segment_ = true;
   current_->seg_remaining_ = length;
   current_->seg_irql_ = irql;
   current_->seg_label_ = label;
-  current_->seg_done_ = std::move(done);
+  CurrentThreadBlock(body);
 }
 
-void Dispatcher::CurrentThreadMarkWaiting() {
-  assert(in_continuation_ && current_ != nullptr);
-  cont_blocked_ = true;
-}
-
-void Dispatcher::CurrentThreadExit() {
-  assert(in_continuation_ && current_ != nullptr);
-  cont_exited_ = true;
+void Dispatcher::CurrentThreadBlock(std::coroutine_handle<> body) {
+  assert(in_body_ && current_ != nullptr);
+  assert(!current_->resume_ && "a thread suspends in one segment or wait at a time");
+  current_->resume_ = body;
 }
 
 void Dispatcher::RequeueReadyThread(KThread* thread) {
@@ -451,37 +447,27 @@ void Dispatcher::ThreadEntry() {
   if (on_thread_dispatch) {
     on_thread_dispatch(*thread, thread->wait_signaled_at_, engine_.now());
   }
-  KThread::Continuation cont = std::move(thread->next_);
-  thread->next_ = nullptr;
-  RunContinuation(std::move(cont));
+  ResumeBody();
 }
 
-void Dispatcher::RunContinuation(KThread::Continuation cont) {
-  assert(!in_continuation_);
-  in_continuation_ = true;
-  cont_blocked_ = false;
-  cont_exited_ = false;
-  if (cont) {
-    PushCoreContext();
-    cont();
-    PopCoreContext();
-  }
-  in_continuation_ = false;
-  AfterContinuation();
-}
-
-void Dispatcher::AfterContinuation() {
+void Dispatcher::ResumeBody() {
+  assert(!in_body_);
   KThread* thread = current_;
-  assert(thread != nullptr);
-  if (cont_exited_ || (!cont_blocked_ && !thread->has_segment_)) {
-    // Exited — or returned without computing, waiting, or exiting: nothing
-    // left to run, which is also termination.
+  const std::coroutine_handle<> body = std::exchange(thread->resume_, {});
+  assert(body && !body.done());
+  in_body_ = true;
+  PushCoreContext();
+  body.resume();
+  PopCoreContext();
+  in_body_ = false;
+  if (body.done()) {
     StopCurrent(ThreadState::kTerminated);
-  } else if (cont_blocked_) {
-    StopCurrent(ThreadState::kWaiting);
-  } else {
+  } else if (thread->has_segment_) {
     thread_phase_ = ThreadPhase::kSegment;
     thread_irql_ = thread->seg_irql_;
+  } else {
+    assert(thread->resume_ && "a body suspends only by awaiting the Kernel");
+    StopCurrent(ThreadState::kWaiting);
   }
 }
 
@@ -495,9 +481,7 @@ void Dispatcher::OnThreadElapsed() {
   assert(thread_phase_ == ThreadPhase::kSegment && current_->has_segment_);
   current_->has_segment_ = false;
   thread_irql_ = Irql::kPassive;
-  KThread::Continuation done = std::move(current_->seg_done_);
-  current_->seg_done_ = nullptr;
-  RunContinuation(std::move(done));
+  ResumeBody();
 }
 
 void Dispatcher::OnCompletion() {
@@ -580,7 +564,7 @@ void Dispatcher::ResumeThreadTimer() {
     return;
   }
   assert(current_ != nullptr && thread_phase_ != ThreadPhase::kNone);
-  // A segment phase with no segment means a continuation is mid-flight on
+  // A segment phase with no segment means the body is running on
   // this very timestamp; it will resolve before the gate closes.
   if (thread_phase_ == ThreadPhase::kSegment && !current_->has_segment_) {
     return;

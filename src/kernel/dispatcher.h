@@ -28,6 +28,7 @@
 #ifndef SRC_KERNEL_DISPATCHER_H_
 #define SRC_KERNEL_DISPATCHER_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -109,7 +110,9 @@ class Dispatcher {
   // interrupt interrupted. This is what the cause tool's IDT hook samples.
   Label InterruptedLabel() const;
   KThread* current_thread() const { return current_; }
-  bool in_thread_continuation() const { return in_continuation_; }
+  // True while the current thread's body runs (between a resume and its
+  // next suspension).
+  bool in_thread_body() const { return in_body_; }
   bool dispatch_locked() const { return lock_until_ > engine_.now(); }
   bool idle() const;
 
@@ -143,11 +146,12 @@ class Dispatcher {
   // instant of the event signal that readied it (ground truth for thread
   // latency; pass the current time for plain starts).
   void ReadyThread(KThread* thread, sim::Cycles signaled_at);
-  // The following three must be called from within a thread continuation.
+  // The following two are called from a thread body's awaiter as the body
+  // suspends: `body` resumes when the segment elapses, or when the wait is
+  // satisfied and the thread is dispatched again.
   void CurrentThreadSetSegment(sim::Cycles length, Irql irql, Label label,
-                               KThread::Continuation done);
-  void CurrentThreadMarkWaiting();
-  void CurrentThreadExit();
+                               std::coroutine_handle<> body);
+  void CurrentThreadBlock(std::coroutine_handle<> body);
   // Reposition a ready thread after a priority change.
   void RequeueReadyThread(KThread* thread);
 
@@ -193,7 +197,7 @@ class Dispatcher {
 
   // Re-entrancy gate: every public entry point opens one; the outermost gate
   // runs the reevaluation loop on exit, so state changes made inside
-  // continuations and handlers are folded into a single consistent pass.
+  // thread bodies and handlers are folded into a single consistent pass.
   class Gate {
    public:
     explicit Gate(Dispatcher* d) : d_(d), outer_(!d->busy_) { d_->busy_ = true; }
@@ -230,8 +234,9 @@ class Dispatcher {
   // Take the current thread off the CPU in `state` (ready, waiting, done).
   void StopCurrent(ThreadState state);
   void ThreadEntry();
-  void RunContinuation(KThread::Continuation cont);
-  void AfterContinuation();
+  // Resume the current thread's body where it last suspended; when it
+  // suspends again, it is computing, waiting, or done.
+  void ResumeBody();
   void OnThreadElapsed();
   // The lane handler: the innermost activity's remaining work has elapsed.
   void OnCompletion();
@@ -288,9 +293,7 @@ class Dispatcher {
 
   bool busy_ = false;
   bool pending_ = false;
-  bool in_continuation_ = false;
-  bool cont_blocked_ = false;
-  bool cont_exited_ = false;
+  bool in_body_ = false;
 
   std::uint64_t interrupts_accepted_ = 0;
   std::uint64_t spurious_interrupts_ = 0;

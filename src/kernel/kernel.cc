@@ -29,7 +29,7 @@ Kernel::Kernel(sim::Engine& engine, sim::Rng rng, hw::InterruptController& pic, 
   pit_.Start();
 
   worker_thread_ = PsCreateSystemThread("System worker", profile_.worker_thread_priority,
-                                        [this] { WorkerLoop(); });
+                                        [this] { return WorkerLoop(); });
 
   if (IsSmp(profile_)) {
     // Construct the SMP extension last: every RNG fork it makes comes after
@@ -122,19 +122,18 @@ bool Kernel::KeReleaseSemaphore(KSemaphore* semaphore, int count) {
   return true;
 }
 
-void Kernel::WaitForSemaphore(KSemaphore* semaphore, KThread::Continuation resumed) {
+bool Kernel::Suspend(KSemaphore* semaphore, std::coroutine_handle<> body) {
   Dispatcher& dispatcher = CurrentDispatcher();
   KThread* current = dispatcher.current_thread();
-  assert(current != nullptr && dispatcher.in_thread_continuation());
+  assert(current != nullptr && dispatcher.in_thread_body());
   if (semaphore->count_ > 0) {
     --semaphore->count_;
-    resumed();
-    return;
+    return false;
   }
   current->priority_ = current->base_priority_;
   semaphore->waiters_.push_back(current);
-  current->next_ = std::move(resumed);
-  dispatcher.CurrentThreadMarkWaiting();
+  dispatcher.CurrentThreadBlock(body);
+  return true;
 }
 
 void Kernel::KeReleaseMutex(KMutex* mutex) {
@@ -155,25 +154,23 @@ void Kernel::KeReleaseMutex(KMutex* mutex) {
   ReadyThread(next, engine_.now());
 }
 
-void Kernel::WaitForMutex(KMutex* mutex, KThread::Continuation resumed) {
+bool Kernel::Suspend(KMutex* mutex, std::coroutine_handle<> body) {
   Dispatcher& dispatcher = CurrentDispatcher();
   KThread* current = dispatcher.current_thread();
-  assert(current != nullptr && dispatcher.in_thread_continuation());
+  assert(current != nullptr && dispatcher.in_thread_body());
   if (mutex->owner_ == nullptr) {
     mutex->owner_ = current;
     mutex->recursion_ = 1;
-    resumed();
-    return;
+    return false;
   }
   if (mutex->owner_ == current) {
     ++mutex->recursion_;  // recursive acquisition
-    resumed();
-    return;
+    return false;
   }
   current->priority_ = current->base_priority_;
   mutex->waiters_.push_back(current);
-  current->next_ = std::move(resumed);
-  dispatcher.CurrentThreadMarkWaiting();
+  dispatcher.CurrentThreadBlock(body);
+  return true;
 }
 
 void Kernel::KeSetTimerMs(KTimer* timer, double ms, KDpc* dpc) {
@@ -185,10 +182,13 @@ void Kernel::KeSetTimerPeriodicMs(KTimer* timer, double first_ms, double period_
 }
 
 KThread* Kernel::PsCreateSystemThread(std::string name, int priority,
-                                      KThread::Continuation entry) {
+                                      std::function<ThreadBody()> entry) {
   auto thread = std::make_unique<KThread>(std::move(name), priority);
   KThread* raw = thread.get();
-  raw->next_ = std::move(entry);
+  // Call the entry where it will live: the frame may refer to it.
+  raw->entry_ = std::move(entry);
+  raw->body_ = raw->entry_();
+  raw->resume_ = raw->body_.frame();
   threads_.push_back(std::move(thread));
   ReadyThread(raw, engine_.now());
   return raw;
@@ -216,86 +216,71 @@ void Kernel::KeSetAffinityThread(KThread* thread, std::uint32_t affinity) {
   }
 }
 
-void Kernel::Compute(double us, KThread::Continuation done) {
-  Dispatcher& dispatcher = CurrentDispatcher();
-  assert(dispatcher.current_thread() != nullptr);
-  dispatcher.CurrentThreadSetSegment(sim::UsToCycles(us), Irql::kPassive,
-                                     Label{"THREAD", "_compute"}, std::move(done));
+bool Kernel::Suspend(const Segment& segment, std::coroutine_handle<> body) {
+  CurrentDispatcher().CurrentThreadSetSegment(segment.length, segment.irql, segment.label,
+                                              body);
+  return true;
 }
 
-void Kernel::ComputeAt(double us, Irql irql, Label label, KThread::Continuation done) {
-  CurrentDispatcher().CurrentThreadSetSegment(sim::UsToCycles(us), irql, label,
-                                              std::move(done));
-}
-
-void Kernel::Wait(KEvent* event, KThread::Continuation resumed) {
+bool Kernel::Suspend(KEvent* event, std::coroutine_handle<> body) {
   Dispatcher& dispatcher = CurrentDispatcher();
   KThread* current = dispatcher.current_thread();
-  assert(current != nullptr && dispatcher.in_thread_continuation());
+  assert(current != nullptr && dispatcher.in_thread_body());
   if (event->signaled_) {
     if (event->type_ == EventType::kSynchronization) {
       event->signaled_ = false;
     }
     // Wait satisfied immediately: no block, no dispatch.
-    resumed();
-    return;
+    return false;
   }
   // Boost decays when the thread waits again.
   current->priority_ = current->base_priority_;
   event->waiters_.push_back(current);
-  current->next_ = std::move(resumed);
-  dispatcher.CurrentThreadMarkWaiting();
+  dispatcher.CurrentThreadBlock(body);
+  return true;
 }
 
-namespace {
-void DeliverUserApcs(KThread* thread, std::deque<KThread::Continuation>& queue) {
-  (void)thread;
-  while (!queue.empty()) {
-    KThread::Continuation apc = std::move(queue.front());
-    queue.pop_front();
-    apc();
-  }
-}
-}  // namespace
-
-void Kernel::WaitAlertable(KEvent* event, KThread::Continuation resumed) {
+bool Kernel::Suspend(const AlertableWait& wait, std::coroutine_handle<> body) {
   Dispatcher& dispatcher = CurrentDispatcher();
   KThread* current = dispatcher.current_thread();
-  assert(current != nullptr && dispatcher.in_thread_continuation());
+  assert(current != nullptr && dispatcher.in_thread_body());
   if (!current->user_apcs_.empty()) {
-    // APCs pending: deliver immediately; the wait returns WAIT_IO_COMPLETION.
-    DeliverUserApcs(current, current->user_apcs_);
-    resumed();
-    return;
+    // APCs pending: EndAlertableWait delivers them at once; the wait
+    // returns WAIT_IO_COMPLETION.
+    return false;
   }
-  if (event->signaled_) {
-    if (event->type_ == EventType::kSynchronization) {
-      event->signaled_ = false;
+  if (wait.event->signaled_) {
+    if (wait.event->type_ == EventType::kSynchronization) {
+      wait.event->signaled_ = false;
     }
-    resumed();
-    return;
+    return false;
   }
   current->priority_ = current->base_priority_;
   current->alertable_ = true;
-  current->waiting_on_ = event;
-  event->waiters_.push_back(current);
-  KThread* thread = current;
-  current->next_ = [this, thread, resumed = std::move(resumed)] {
-    thread->alertable_ = false;
-    thread->waiting_on_ = nullptr;
-    DeliverUserApcs(thread, thread->user_apcs_);
-    resumed();
-  };
-  dispatcher.CurrentThreadMarkWaiting();
+  current->waiting_on_ = wait.event;
+  wait.event->waiters_.push_back(current);
+  dispatcher.CurrentThreadBlock(body);
+  return true;
 }
 
-void Kernel::QueueUserApc(KThread* thread, KThread::Continuation apc) {
+void Kernel::EndAlertableWait() {
+  KThread* thread = CurrentDispatcher().current_thread();
+  thread->alertable_ = false;
+  thread->waiting_on_ = nullptr;
+  while (!thread->user_apcs_.empty()) {
+    KThread::ApcRoutine apc = std::move(thread->user_apcs_.front());
+    thread->user_apcs_.pop_front();
+    apc();
+  }
+}
+
+void Kernel::QueueUserApc(KThread* thread, KThread::ApcRoutine apc) {
   assert(thread != nullptr);
   thread->user_apcs_.push_back(std::move(apc));
   if (thread->state_ == ThreadState::kWaiting && thread->alertable_ &&
       thread->waiting_on_ != nullptr) {
     // Abort the alertable wait: remove the thread from the event's waiter
-    // list and ready it; its wake continuation delivers the APCs.
+    // list and ready it; the body's EndAlertableWait delivers the APCs.
     auto& waiters = thread->waiting_on_->waiters_;
     for (auto it = waiters.begin(); it != waiters.end(); ++it) {
       if (*it == thread) {
@@ -307,7 +292,7 @@ void Kernel::QueueUserApc(KThread* thread, KThread::Continuation apc) {
   }
 }
 
-void Kernel::Sleep(double ms, KThread::Continuation resumed) {
+Kernel::Awaiter<KEvent*> Kernel::Sleep(double ms) {
   KThread* current = CurrentDispatcher().current_thread();
   assert(current != nullptr);
   if (!current->sleep_event_) {
@@ -319,7 +304,7 @@ void Kernel::Sleep(double ms, KThread::Continuation resumed) {
                                                  kTimerExpirationLabel);
   }
   KeSetTimerMs(current->sleep_timer_.get(), ms, current->sleep_dpc_.get());
-  Wait(current->sleep_event_.get(), std::move(resumed));
+  return Wait(current->sleep_event_.get());
 }
 
 KInterrupt* Kernel::IoConnectInterrupt(int line, Irql irql, Label label,
@@ -339,15 +324,15 @@ void Kernel::ExQueueWorkItem(double us, Label label) {
   KeSetEvent(&work_event_);
 }
 
-void Kernel::WorkerLoop() {
-  if (work_queue_.empty()) {
-    Wait(&work_event_, [this] { WorkerLoop(); });
-    return;
+ThreadBody Kernel::WorkerLoop() {
+  for (;;) {
+    while (work_queue_.empty()) {
+      co_await Wait(&work_event_);
+    }
+    const WorkItem item = work_queue_.front();
+    work_queue_.pop_front();
+    co_await Awaiter<Segment>(*this, {item.duration, Irql::kPassive, item.label});
   }
-  const WorkItem item = work_queue_.front();
-  work_queue_.pop_front();
-  CurrentDispatcher().CurrentThreadSetSegment(item.duration, Irql::kPassive, item.label,
-                                              [this] { WorkerLoop(); });
 }
 
 bool Kernel::InjectKernelSection(Irql irql, double us, Label label) {

@@ -2,6 +2,16 @@
 // timers, DPCs and events, configured by a KernelProfile (Windows NT 4.0 or
 // Windows 98 personality).
 //
+// Thread bodies are coroutines (kernel::ThreadBody) that `co_await` the
+// facade's compute and wait calls:
+//
+//   kernel_.PsCreateSystemThread("LatThread", 28, [this]() -> ThreadBody {
+//     for (;;) {
+//       co_await kernel_.Wait(&event_);
+//       ...
+//     }
+//   });
+//
 // The measurement drivers in src/drivers are written against this API and —
 // like the paper's thread-latency driver, which is binary-portable between
 // Windows 98 and NT — run unchanged on both profiles.
@@ -9,11 +19,13 @@
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/hw/interrupt_controller.h"
@@ -70,7 +82,7 @@ class Kernel {
   // --- Mutexes ---------------------------------------------------------------------
   // Release one level of ownership; the mutex passes FIFO to the next
   // waiter when the recursion count reaches zero. Must be called from the
-  // owning thread's continuation.
+  // owning thread's body.
   void KeReleaseMutex(KMutex* mutex);
 
   // --- DPCs --------------------------------------------------------------------
@@ -104,10 +116,14 @@ class Kernel {
   bool KeCancelTimer(KTimer* timer) { return timers_.Cancel(timer); }
 
   // --- Threads -------------------------------------------------------------------
-  // Create and start a kernel-mode thread. `entry` runs (in zero simulated
-  // time) at the thread's first dispatch; it should schedule work through
-  // Compute/Wait/Sleep and eventually ExitThread, or wait forever.
-  KThread* PsCreateSystemThread(std::string name, int priority, KThread::Continuation entry);
+  // Create and start a kernel-mode thread running the body `entry` returns.
+  // The thread keeps `entry` as long as the body's frame, so a capturing
+  // lambda coroutine may use its captures throughout. The body's first
+  // statement runs (in zero simulated time) at the thread's first dispatch;
+  // it computes and waits by `co_await`ing the calls below, and the thread
+  // terminates when the body returns.
+  KThread* PsCreateSystemThread(std::string name, int priority,
+                                std::function<ThreadBody()> entry);
   void KeSetPriorityThread(KThread* thread, int priority);
   // Restrict the thread to the cores set in `affinity` (bit c = core c).
   // No-op beyond bookkeeping on uniprocessor profiles.
@@ -117,31 +133,64 @@ class Kernel {
                 : dispatcher_->current_thread();
   }
 
-  // The following must be called from within a thread continuation:
-  // Burn `us` microseconds of CPU at PASSIVE level, then run `done`.
-  void Compute(double us, KThread::Continuation done);
+  // The operands of a compute segment and of an alertable wait.
+  struct Segment {
+    sim::Cycles length;
+    Irql irql;
+    Label label;
+  };
+  struct AlertableWait {
+    KEvent* event;
+  };
+  // What the calls below return, for the running thread's body to
+  // `co_await` (only a body may await them). `await_suspend` performs the
+  // call: a compute segment or a wait that must block parks the body and
+  // takes the thread off the CPU; a wait that is already satisfied returns
+  // false, so the body continues inline with no block and no dispatch.
+  template <typename Op>
+  class [[nodiscard]] Awaiter {
+   public:
+    Awaiter(Kernel& kernel, Op op) : kernel_(kernel), op_(op) {}
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> body) { return kernel_.Suspend(op_, body); }
+    void await_resume() {
+      if constexpr (std::is_same_v<Op, AlertableWait>) {
+        kernel_.EndAlertableWait();
+      }
+    }
+
+   private:
+    Kernel& kernel_;
+    Op op_;
+  };
+
+  // Burn `us` microseconds of CPU at PASSIVE level.
+  Awaiter<Segment> Compute(double us) {
+    return {*this, {sim::UsToCycles(us), Irql::kPassive, Label{"THREAD", "_compute"}}};
+  }
   // Burn CPU at an explicit IRQL with a cause-tool label.
-  void ComputeAt(double us, Irql irql, Label label, KThread::Continuation done);
-  // Wait for `event`; `resumed` runs at the thread's first instruction after
-  // the wait is satisfied (immediately, without blocking, if the event is
+  Awaiter<Segment> ComputeAt(double us, Irql irql, Label label) {
+    return {*this, {sim::UsToCycles(us), irql, label}};
+  }
+  // Wait for `event`; the body continues at the thread's first instruction
+  // after the wait is satisfied (at once, without blocking, if the event is
   // already signaled).
-  void Wait(KEvent* event, KThread::Continuation resumed);
+  Awaiter<KEvent*> Wait(KEvent* event) { return {*this, event}; }
   // Block for at least `ms` (timer resolution = clock tick).
-  void Sleep(double ms, KThread::Continuation resumed);
+  Awaiter<KEvent*> Sleep(double ms);
   // Alertable wait (SleepEx/WaitForSingleObjectEx semantics): the wait is
   // satisfied by the event OR interrupted by user APC delivery. Pending APCs
-  // run in this thread's context before `resumed`. This is the mechanism
-  // behind the paper's ReadFileEx completion path.
-  void WaitAlertable(KEvent* event, KThread::Continuation resumed);
+  // run in this thread's context before the body continues. This is the
+  // mechanism behind the paper's ReadFileEx completion path.
+  Awaiter<AlertableWait> WaitAlertable(KEvent* event) { return {*this, {event}}; }
   // Queue a user APC (ReadFileEx completion routine) to `thread`; delivered
   // at the thread's next (or current) alertable wait.
-  void QueueUserApc(KThread* thread, KThread::Continuation apc);
+  void QueueUserApc(KThread* thread, KThread::ApcRoutine apc);
 
   // Wait for the semaphore (decrements the count when satisfied).
-  void WaitForSemaphore(KSemaphore* semaphore, KThread::Continuation resumed);
+  Awaiter<KSemaphore*> WaitForSemaphore(KSemaphore* semaphore) { return {*this, semaphore}; }
   // Acquire the mutex (recursively if already owned by this thread).
-  void WaitForMutex(KMutex* mutex, KThread::Continuation resumed);
-  void ExitThread() { CurrentDispatcher().CurrentThreadExit(); }
+  Awaiter<KMutex*> WaitForMutex(KMutex* mutex) { return {*this, mutex}; }
 
   // --- Interrupts -------------------------------------------------------------------
   // Connect `isr` to a PIC line. The ISR callback runs at the ISR's first
@@ -206,7 +255,17 @@ class Kernel {
 
  private:
   sim::Cycles ClockIsr();
-  void WorkerLoop();
+  ThreadBody WorkerLoop();
+
+  // The awaiters' bodies: true parks `body` (the thread leaves the CPU),
+  // false lets it continue at once.
+  bool Suspend(const Segment& segment, std::coroutine_handle<> body);
+  bool Suspend(KEvent* event, std::coroutine_handle<> body);
+  bool Suspend(const AlertableWait& wait, std::coroutine_handle<> body);
+  bool Suspend(KSemaphore* semaphore, std::coroutine_handle<> body);
+  bool Suspend(KMutex* mutex, std::coroutine_handle<> body);
+  // Leave an alertable wait, however it ended, delivering pending APCs.
+  void EndAlertableWait();
   // The dispatcher of the core whose code is executing (boot core for bare
   // engine events and all uniprocessor profiles).
   Dispatcher& CurrentDispatcher() {

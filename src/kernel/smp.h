@@ -40,7 +40,7 @@
 //     state: SMP runs are bit-reproducible.
 //
 // The "current core" is tracked with an explicit context stack pushed around
-// every ISR body, DPC routine and thread continuation; kernel API calls made
+// every ISR body, DPC routine and thread body; kernel API calls made
 // from those contexts (wakes, DPC inserts, section injection) are attributed
 // to the core that executed them. Engine-level callers (device models, the
 // fault injector) run in no context and default to core 0.
@@ -129,7 +129,7 @@ class Smp {
   DpcQueue& dpc_queue(int core) { return *dpc_queues_[core]; }
 
   // Core whose code is executing right now (top of the context stack pushed
-  // around ISR bodies, DPC routines and thread continuations); 0 when the
+  // around ISR bodies, DPC routines and thread bodies); 0 when the
   // caller is a bare engine event.
   int current_core() const { return context_.empty() ? 0 : context_.back(); }
   void PushContext(int core) { context_.push_back(core); }

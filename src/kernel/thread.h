@@ -2,19 +2,23 @@
 //
 // WDM threads execute at Win32 priorities 1-15 (normal, timesliced) or 16-31
 // (real time); 24 is the default real-time priority and the paper measures
-// priorities 24 and 28 (Section 4.1). Thread bodies are written in
-// continuation-passing style: a continuation runs in zero simulated time at
-// the thread's "first instruction" after a dispatch, and schedules the
-// thread's next timed computation or wait through the Kernel facade.
+// priorities 24 and 28 (Section 4.1). A thread body is a C++20 coroutine
+// (ThreadBody): it runs in zero simulated time from the thread's "first
+// instruction" after a dispatch up to its next `co_await` of a Kernel
+// compute segment or wait, which takes the thread off the CPU until the
+// segment elapses or the wait is satisfied. Falling off the end (or
+// `co_return`) terminates the thread.
 
 #ifndef SRC_KERNEL_THREAD_H_
 #define SRC_KERNEL_THREAD_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/kernel/event.h"
 #include "src/kernel/irql.h"
@@ -40,9 +44,47 @@ enum class ThreadState : std::uint8_t {
   kTerminated,
 };
 
+// The coroutine type of a thread body. The frame starts suspended (the
+// body's first statement runs at the thread's first dispatch) and stays
+// suspended at its end until the owning KThread destroys it; an exception a
+// body does not catch propagates out of the dispatch that resumed it.
+class [[nodiscard]] ThreadBody {
+ public:
+  struct promise_type {
+    ThreadBody get_return_object() {
+      return ThreadBody(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() { throw; }
+  };
+
+  ThreadBody() = default;
+  ThreadBody(ThreadBody&& other) noexcept : frame_(std::exchange(other.frame_, {})) {}
+  ThreadBody& operator=(ThreadBody&& other) noexcept {
+    std::swap(frame_, other.frame_);
+    return *this;
+  }
+  ~ThreadBody() {
+    if (frame_) {
+      frame_.destroy();
+    }
+  }
+
+  std::coroutine_handle<> frame() const { return frame_; }
+
+ private:
+  explicit ThreadBody(std::coroutine_handle<promise_type> frame) : frame_(frame) {}
+
+  std::coroutine_handle<promise_type> frame_;
+};
+
 class KThread {
  public:
-  using Continuation = std::function<void()>;
+  // A user APC (ReadFileEx completion routine): a plain callback run in the
+  // thread's context when an alertable wait delivers it.
+  using ApcRoutine = std::function<void()>;
 
   KThread(std::string name, int priority);
   ~KThread();
@@ -81,13 +123,14 @@ class KThread {
   int base_priority_;
   ThreadState state_ = ThreadState::kInitialized;
 
-  // Continuation to run at the next dispatch (thread entry, or the
-  // post-wait continuation installed by Kernel::Wait).
-  Continuation next_;
+  // Where the body continues: at the next dispatch (its first statement, or
+  // the end of a wait), or when its compute segment elapses. Null while the
+  // body runs.
+  std::coroutine_handle<> resume_;
 
-  // User APCs (ReadFileEx completion routines) pending delivery; delivered
-  // when the thread performs or completes an alertable wait.
-  std::deque<Continuation> user_apcs_;
+  // User APCs pending delivery; delivered when the thread performs or
+  // completes an alertable wait.
+  std::deque<ApcRoutine> user_apcs_;
   bool alertable_ = false;
   // The event this thread is blocked on (nullptr for semaphore/mutex waits,
   // which are not alertable); lets an APC abort the wait.
@@ -99,7 +142,6 @@ class KThread {
   sim::Cycles seg_remaining_ = 0;
   Irql seg_irql_ = Irql::kPassive;
   Label seg_label_{};
-  Continuation seg_done_;
 
   sim::Cycles readied_at_ = 0;
   sim::Cycles wait_signaled_at_ = 0;
@@ -113,6 +155,12 @@ class KThread {
   std::unique_ptr<KEvent> sleep_event_;
   std::unique_ptr<KTimer> sleep_timer_;
   std::unique_ptr<KDpc> sleep_dpc_;
+
+  // The thread's entry callable and the body it returned. Declared last:
+  // the frame is destroyed first, while everything it may refer to (a
+  // capturing lambda's captures, this thread) is still alive.
+  std::function<ThreadBody()> entry_;
+  ThreadBody body_;
 };
 
 }  // namespace wdmlat::kernel

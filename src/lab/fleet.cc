@@ -939,8 +939,7 @@ FleetShardResult RunFleetShard(const Fleet& fleet, const FleetShardOptions& opti
     // worker runs this call — the amortized-setup half of the tentpole.
     thread_local WarmCellRunner runner;
     std::string line;
-    const auto body = [&](int attempt, runtime::Watchdog& watchdog) {
-      (void)attempt;  // the seed is attempt-invariant by design
+    const auto body = [&](runtime::Watchdog& watchdog) {
       if (options.poison_cell >= 0 &&
           index == static_cast<std::uint64_t>(options.poison_cell)) {
         // Poisoned-cell fixture: take the whole process down, like a wild
@@ -1049,7 +1048,11 @@ bool LoadFleetQuarantine(const std::string& path,
     });
     if (!read || !in.Finish()) {
       if (error != nullptr) {
-        *error = path + ":" + std::to_string(line_no) + ": " + in.error();
+        std::size_t line_in_text = 0;
+        std::size_t column = 0;
+        in.ErrorLineColumn(&line_in_text, &column);
+        *error = path + ": line " + std::to_string(line_no) + ", column " +
+                 std::to_string(column) + ": " + in.error();
       }
       return false;
     }

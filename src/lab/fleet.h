@@ -243,7 +243,7 @@ struct FleetShardOptions {
   // freshly executed cells (0 = never), and/or sleep before starting.
   std::uint64_t chaos_kill_after_cells = 0;
   double chaos_delay_ms = 0.0;
-  // Per-cell exception barrier / watchdog / retry.
+  // Per-cell exception barrier / watchdog.
   runtime::SupervisorOptions supervision;
   // >0: run the kernel invariant auditor inside every cell at this
   // virtual-second cadence, plus once after the measurement phase; a

@@ -45,8 +45,9 @@ void RunSupervisedPhase(TestSystem& system, const RunSupervision& sup, double se
     });
   }
   const bool auditing = sup.audit_every_s > 0.0 || sup.force_audit_violation;
-  const double slice_s =
-      sup.audit_every_s > 0.0 ? sup.audit_every_s : std::max(sup.slice_s, 1e-3);
+  // One virtual second between watchdog polls when no audit cadence sets
+  // the slice.
+  const double slice_s = sup.audit_every_s > 0.0 ? sup.audit_every_s : 1.0;
 
   sim::Engine& engine = system.engine();
   const sim::Cycles deadline = engine.now() + sim::SecToCycles(seconds);

@@ -92,8 +92,6 @@ struct RunSupervision {
   // Fixture for tests/CI: the first audit pass reports one injected
   // violation, proving the auditor fails the cell rather than the process.
   bool force_audit_violation = false;
-  // Virtual slice length when no audit cadence dictates one.
-  double slice_s = 1.0;
 
   bool enabled() const {
     return watchdog != nullptr || audit_every_s > 0.0 || audit_at_end ||

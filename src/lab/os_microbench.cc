@@ -1,6 +1,5 @@
 #include "src/lab/os_microbench.h"
 
-#include <functional>
 #include <memory>
 
 #include "src/kernel/kernel.h"
@@ -22,37 +21,25 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
   {
     auto ea = std::make_shared<kernel::KEvent>();
     auto eb = std::make_shared<kernel::KEvent>();
-    auto remaining = std::make_shared<int>(iterations);
     auto start = std::make_shared<sim::Cycles>(0);
     auto end = std::make_shared<sim::Cycles>(0);
-
-    // Each loop refers to itself weakly and this scope owns it: a closure
-    // holding its own shared_ptr is a reference cycle that is never freed.
-    auto loop_a = std::make_shared<std::function<void()>>();
-    auto loop_b = std::make_shared<std::function<void()>>();
-    *loop_a = [&k, ea, eb, remaining, end, again = std::weak_ptr(loop_a)] {
-      k.Wait(ea.get(), [&k, ea, eb, remaining, end, again] {
-        if (--*remaining <= 0) {
-          *end = k.GetCycleCount();
-          k.ExitThread();
-          return;
-        }
-        k.KeSetEvent(eb.get());
-        if (auto loop = again.lock()) {
-          (*loop)();
-        }
-      });
-    };
-    *loop_b = [&k, ea, eb, again = std::weak_ptr(loop_b)] {
-      k.Wait(eb.get(), [&k, ea, eb, again] {
+    k.PsCreateSystemThread(
+        "pingpong-a", 20, [&k, ea, eb, end, iterations]() -> kernel::ThreadBody {
+          for (int wakes = 1;; ++wakes) {
+            co_await k.Wait(ea.get());
+            if (wakes >= iterations) {
+              *end = k.GetCycleCount();
+              co_return;
+            }
+            k.KeSetEvent(eb.get());
+          }
+        });
+    k.PsCreateSystemThread("pingpong-b", 20, [&k, ea, eb]() -> kernel::ThreadBody {
+      for (;;) {
+        co_await k.Wait(eb.get());
         k.KeSetEvent(ea.get());
-        if (auto loop = again.lock()) {
-          (*loop)();
-        }
-      });
-    };
-    k.PsCreateSystemThread("pingpong-a", 20, [loop_a] { (*loop_a)(); });
-    k.PsCreateSystemThread("pingpong-b", 20, [loop_b] { (*loop_b)(); });
+      }
+    });
     system.engine().ScheduleAfter(sim::MsToCycles(1.0), [&k, ea, start] {
       *start = k.GetCycleCount();
       k.KeSetEvent(ea.get());
@@ -69,17 +56,14 @@ MicrobenchResults RunOsMicrobench(lab::TestSystem& system, int iterations) {
     auto signaled_at = std::make_shared<sim::Cycles>(0);
     auto total = std::make_shared<sim::Cycles>(0);
     auto woken = std::make_shared<int>(0);
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&k, event, signaled_at, total, woken, again = std::weak_ptr(loop)] {
-      k.Wait(event.get(), [&k, signaled_at, total, woken, again] {
-        *total += k.GetCycleCount() - *signaled_at;
-        ++*woken;
-        if (auto loop = again.lock()) {
-          (*loop)();
-        }
-      });
-    };
-    k.PsCreateSystemThread("wake-probe", 28, [loop] { (*loop)(); });
+    k.PsCreateSystemThread(
+        "wake-probe", 28, [&k, event, signaled_at, total, woken]() -> kernel::ThreadBody {
+          for (;;) {
+            co_await k.Wait(event.get());
+            *total += k.GetCycleCount() - *signaled_at;
+            ++*woken;
+          }
+        });
     for (int i = 0; i < iterations; ++i) {
       system.engine().ScheduleAfter(sim::UsToCycles(200.0 * (i + 1)),
                                     [&k, event, signaled_at] {

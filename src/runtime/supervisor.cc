@@ -1,8 +1,6 @@
 #include "src/runtime/supervisor.h"
 
 #include <sstream>
-#include <thread>
-#include <utility>
 
 namespace wdmlat::runtime {
 
@@ -16,22 +14,8 @@ const char* FailureKindName(FailureKind kind) {
       return "timeout";
     case FailureKind::kInvariantViolation:
       return "invariant_violation";
-    case FailureKind::kHostTransient:
-      return "host_transient";
   }
   return "unknown";
-}
-
-bool FailureKindFromName(std::string_view name, FailureKind* out) {
-  for (FailureKind kind :
-       {FailureKind::kNone, FailureKind::kException, FailureKind::kTimeout,
-        FailureKind::kInvariantViolation, FailureKind::kHostTransient}) {
-    if (name == FailureKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
 }
 
 void Watchdog::Arm(double timeout_ms) {
@@ -67,59 +51,39 @@ void Watchdog::Check() const {
 
 std::string CellFailure::Render() const {
   std::ostringstream out;
-  out << "cell " << cell << " seed " << seed << " failed [" << FailureKindName(kind)
-      << "] after " << attempts << (attempts == 1 ? " attempt" : " attempts") << " ("
+  out << "cell " << cell << " seed " << seed << " failed [" << FailureKindName(kind) << "] ("
       << elapsed_ms << " ms): " << message;
   return out.str();
 }
 
-Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-}
+Supervisor::Supervisor(SupervisorOptions options) : options_(options) {}
 
 std::optional<CellFailure> Supervisor::RunCell(
     std::size_t cell, std::uint64_t seed,
-    const std::function<void(int attempt, Watchdog& watchdog)>& body) {
-  ++cells_run_;
+    const std::function<void(Watchdog& watchdog)>& body) const {
   Watchdog watchdog;
-  double backoff_ms = options_.retry_backoff_ms;
-  for (int attempt = 1;; ++attempt) {
-    watchdog.Arm(options_.cell_timeout_ms);
-    CellFailure failure;
-    failure.cell = cell;
-    failure.seed = seed;
-    failure.attempts = attempt;
-    try {
-      body(attempt, watchdog);
-      return std::nullopt;
-    } catch (const DeadlineExceeded& e) {
-      failure.kind = FailureKind::kTimeout;
-      failure.message = e.what();
-    } catch (const InvariantViolation& e) {
-      failure.kind = FailureKind::kInvariantViolation;
-      failure.message = e.what();
-    } catch (const TransientError& e) {
-      failure.kind = FailureKind::kHostTransient;
-      failure.message = e.what();
-    } catch (const std::exception& e) {
-      failure.kind = FailureKind::kException;
-      failure.message = e.what();
-    } catch (...) {
-      failure.kind = FailureKind::kException;
-      failure.message = "non-standard exception";
-    }
-    failure.elapsed_ms = watchdog.elapsed_ms();
-    const bool retryable = failure.kind == FailureKind::kHostTransient &&
-                           attempt < options_.max_attempts;
-    if (!retryable) {
-      return failure;
-    }
-    ++retries_;
-    if (backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
-      backoff_ms *= 2.0;
-    }
+  watchdog.Arm(options_.cell_timeout_ms);
+  CellFailure failure;
+  failure.cell = cell;
+  failure.seed = seed;
+  try {
+    body(watchdog);
+    return std::nullopt;
+  } catch (const DeadlineExceeded& e) {
+    failure.kind = FailureKind::kTimeout;
+    failure.message = e.what();
+  } catch (const InvariantViolation& e) {
+    failure.kind = FailureKind::kInvariantViolation;
+    failure.message = e.what();
+  } catch (const std::exception& e) {
+    failure.kind = FailureKind::kException;
+    failure.message = e.what();
+  } catch (...) {
+    failure.kind = FailureKind::kException;
+    failure.message = "non-standard exception";
   }
+  failure.elapsed_ms = watchdog.elapsed_ms();
+  return failure;
 }
 
 }  // namespace wdmlat::runtime

@@ -5,11 +5,11 @@
 // worst cases) only exist if multi-hour loaded runs complete reliably, so a
 // single throwing cell must not discard the whole run. The supervisor wraps
 // each cell body in an exception barrier that converts any escaping
-// exception into a structured CellFailure (taxonomy + message), arms a host-clock watchdog that the cell
-// polls cooperatively between simulation slices, and retries host-transient
-// failures a bounded number of times with exponential backoff — reusing the
-// same seed, so a retry that succeeds is bit-identical to a first-attempt
-// success.
+// exception into a structured CellFailure (taxonomy + message) and arms a
+// host-clock watchdog that the cell polls cooperatively between simulation
+// slices. Every failure is final: a cell is a pure function of its seed, so
+// running it again would fail again (host-level retries are the fleet
+// supervisor's, per shard process).
 //
 // The watchdog is host-clock by design: simulated time is deterministic and
 // cannot hang, but the host running the simulation can (a pathological fault
@@ -20,7 +20,6 @@
 #ifndef SRC_RUNTIME_SUPERVISOR_H_
 #define SRC_RUNTIME_SUPERVISOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace wdmlat::runtime {
 
@@ -37,32 +35,21 @@ namespace wdmlat::runtime {
 enum class FailureKind : std::uint8_t {
   kNone,
   // The cell body threw (std::exception or otherwise): a deterministic
-  // failure, not retried — the same seed would throw again.
+  // failure — the same seed would throw again.
   kException,
   // The cell exceeded its host-clock deadline budget.
   kTimeout,
   // A periodic or end-of-run invariant audit found corrupted simulator
   // state; the cell's results are untrustworthy and are discarded.
   kInvariantViolation,
-  // A host-side transient (I/O hiccup, resource exhaustion): retried with
-  // backoff up to SupervisorOptions::max_attempts, preserving the seed.
-  kHostTransient,
 };
 
 const char* FailureKindName(FailureKind kind);
-bool FailureKindFromName(std::string_view name, FailureKind* out);
 
 // Thrown by Watchdog::Check when the budget is exhausted.
 class DeadlineExceeded : public std::runtime_error {
  public:
   explicit DeadlineExceeded(const std::string& what) : std::runtime_error(what) {}
-};
-
-// Thrown (by cell bodies or infrastructure) to mark a failure as
-// host-transient and therefore retryable.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what) : std::runtime_error(what) {}
 };
 
 // Thrown by the lab layer when a sim::InvariantAuditor pass fails; carries
@@ -72,7 +59,7 @@ class InvariantViolation : public std::runtime_error {
   explicit InvariantViolation(const std::string& what) : std::runtime_error(what) {}
 };
 
-// A host-clock deadline budget. Armed per attempt by the supervisor and
+// A host-clock deadline budget. Armed per cell by the supervisor and
 // polled cooperatively (Check) by the cell between simulation slices.
 class Watchdog {
  public:
@@ -103,21 +90,15 @@ struct CellFailure {
   std::uint64_t seed = 0;
   FailureKind kind = FailureKind::kException;
   std::string message;
-  int attempts = 1;
   double elapsed_ms = 0.0;
 
-  // One-line rendering (cell, seed, taxonomy, attempts, message) for logs.
+  // One-line rendering (cell, seed, taxonomy, message) for logs.
   std::string Render() const;
 };
 
 struct SupervisorOptions {
-  // Host-clock budget per attempt; 0 disables the watchdog.
+  // Host-clock budget per cell; 0 disables the watchdog.
   double cell_timeout_ms = 0.0;
-  // Total attempts for host-transient failures (>= 1). Deterministic
-  // failures (exception/timeout/invariant) never retry.
-  int max_attempts = 3;
-  // First retry backoff; doubles per subsequent retry.
-  double retry_backoff_ms = 25.0;
 };
 
 class Supervisor {
@@ -126,21 +107,14 @@ class Supervisor {
 
   const SupervisorOptions& options() const { return options_; }
 
-  // Run `body(attempt, watchdog)` under the exception barrier. The watchdog
-  // is re-armed for every attempt; attempts are 1-based. Returns nullopt on
-  // success, or the structured failure of the last attempt.
-  std::optional<CellFailure> RunCell(
-      std::size_t cell, std::uint64_t seed,
-      const std::function<void(int attempt, Watchdog& watchdog)>& body);
-
-  std::uint64_t cells_run() const { return cells_run_.load(std::memory_order_relaxed); }
-  std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
+  // Run `body(watchdog)` under the exception barrier, with the watchdog
+  // armed. Returns nullopt on success, or the structured failure. Safe to
+  // call from several threads at once.
+  std::optional<CellFailure> RunCell(std::size_t cell, std::uint64_t seed,
+                                     const std::function<void(Watchdog& watchdog)>& body) const;
 
  private:
   SupervisorOptions options_;
-  // Atomic: one Supervisor serves every pool worker of a matrix run.
-  std::atomic<std::uint64_t> cells_run_{0};
-  std::atomic<std::uint64_t> retries_{0};
 };
 
 }  // namespace wdmlat::runtime

@@ -78,7 +78,7 @@ void StressLoad::Start() {
   for (int i = 0; i < profile_.cpu_threads; ++i) {
     const double burst = profile_.cpu_burst_us * rng_.Uniform(0.8, 1.2);
     k.PsCreateSystemThread(profile_.name + " cpu" + std::to_string(i), profile_.cpu_priority,
-                           [this, burst] { CpuThreadLoop(burst); });
+                           [this, burst] { return CpuThreadLoop(burst); });
   }
 
   if (profile_.audio_stream && deps_.audio != nullptr) {
@@ -145,13 +145,10 @@ void StressLoad::DoDownload() {
   deps_.nic->StartReceiveStream(bytes, 1514, nullptr);
 }
 
-void StressLoad::CpuThreadLoop(double burst_us) {
-  if (!running_) {
-    deps_.kernel->ExitThread();
-    return;
+kernel::ThreadBody StressLoad::CpuThreadLoop(double burst_us) {
+  while (running_) {
+    co_await deps_.kernel->ComputeAt(burst_us, Irql::kPassive, profile_.cpu_label);
   }
-  deps_.kernel->ComputeAt(burst_us, Irql::kPassive, profile_.cpu_label,
-                          [this, burst_us] { CpuThreadLoop(burst_us); });
 }
 
 }  // namespace wdmlat::workload

@@ -51,7 +51,7 @@ class StressLoad {
   void DoFileBurst();
   void DoUiEvent();
   void DoDownload();
-  void CpuThreadLoop(double burst_us);
+  kernel::ThreadBody CpuThreadLoop(double burst_us);
 
   Deps deps_;
   StressProfile profile_;

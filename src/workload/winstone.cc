@@ -7,6 +7,23 @@ namespace wdmlat::workload {
 
 using kernel::Label;
 
+namespace {
+
+// Submit one synchronous file read: the virus scanner sees it and the disk
+// starts it; its completion DPC signals `done`, which the caller then waits
+// on before charging the file-system CPU.
+void SubmitFileOp(const StressLoad::Deps& deps, sim::Rng& rng, double file_bytes,
+                  kernel::KEvent* done) {
+  const auto bytes = static_cast<std::uint32_t>(rng.Uniform(0.5 * file_bytes, 1.5 * file_bytes));
+  if (deps.virus_scanner != nullptr) {
+    deps.virus_scanner->OnFileOperation(bytes);
+  }
+  kernel::Kernel* kernel = deps.kernel;
+  deps.disk->SubmitIo(bytes, [kernel, done] { kernel->KeSetEvent(done); });
+}
+
+}  // namespace
+
 WinstoneScript::WinstoneScript(StressLoad::Deps deps, Config config, sim::Rng rng)
     : deps_(deps), cfg_(config), rng_(rng) {
   assert(deps_.kernel != nullptr && deps_.disk != nullptr);
@@ -14,54 +31,33 @@ WinstoneScript::WinstoneScript(StressLoad::Deps deps, Config config, sim::Rng rn
 
 void WinstoneScript::Start(std::function<void(double)> done) {
   done_ = std::move(done);
-  remaining_iterations_ = cfg_.iterations;
   started_at_ = deps_.kernel->GetCycleCount();
-  deps_.kernel->PsCreateSystemThread("Winstone", cfg_.priority, [this] { Iterate(); });
+  deps_.kernel->PsCreateSystemThread("Winstone", cfg_.priority, [this] { return Run(); });
 }
 
-void WinstoneScript::Iterate() {
+kernel::ThreadBody WinstoneScript::Run() {
   kernel::Kernel& k = *deps_.kernel;
-  if (remaining_iterations_ == 0) {
-    finished_ = true;
-    elapsed_seconds_ = sim::CyclesToSec(k.GetCycleCount() - started_at_);
-    if (done_) {
-      done_(elapsed_seconds_);
-    }
-    k.ExitThread();
-    return;
-  }
-  --remaining_iterations_;
-  // Application CPU phase.
-  k.Compute(cfg_.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3), [this] {
+  for (int iteration = 0; iteration < cfg_.iterations; ++iteration) {
+    // Application CPU phase.
+    co_await k.Compute(cfg_.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3));
     if (rng_.Bernoulli(cfg_.ui_event_probability)) {
       if (deps_.sound_scheme != nullptr) {
         deps_.sound_scheme->OnUiEvent();
       }
-      deps_.kernel->ExQueueWorkItem(rng_.Uniform(20.0, 100.0), Label{"WIN32K", "_Repaint"});
+      k.ExQueueWorkItem(rng_.Uniform(20.0, 100.0), Label{"WIN32K", "_Repaint"});
     }
-    DoFileOps(cfg_.file_ops_per_iteration);
-  });
-}
-
-void WinstoneScript::DoFileOps(int remaining) {
-  kernel::Kernel& k = *deps_.kernel;
-  if (remaining == 0) {
-    Iterate();
-    return;
+    for (int op = 0; op < cfg_.file_ops_per_iteration; ++op) {
+      SubmitFileOp(deps_, rng_, cfg_.file_bytes, &io_event_);
+      co_await k.Wait(&io_event_);
+      // File-system CPU in the caller's context: the OS-dependent term.
+      co_await k.Compute(k.profile().file_op_kernel_us.SampleUs(rng_));
+    }
   }
-  const auto bytes =
-      static_cast<std::uint32_t>(rng_.Uniform(0.5 * cfg_.file_bytes, 1.5 * cfg_.file_bytes));
-  if (deps_.virus_scanner != nullptr) {
-    deps_.virus_scanner->OnFileOperation(bytes);
+  finished_ = true;
+  elapsed_seconds_ = sim::CyclesToSec(k.GetCycleCount() - started_at_);
+  if (done_) {
+    done_(elapsed_seconds_);
   }
-  // Synchronous read: submit, then block until the completion DPC signals.
-  deps_.disk->SubmitIo(bytes, [this] { deps_.kernel->KeSetEvent(&io_event_); });
-  k.Wait(&io_event_, [this, remaining] {
-    // File-system CPU in the caller's context: the OS-dependent term.
-    kernel::Kernel& kernel = *deps_.kernel;
-    kernel.Compute(kernel.profile().file_op_kernel_us.SampleUs(rng_),
-                   [this, remaining] { DoFileOps(remaining - 1); });
-  });
 }
 
 std::vector<WinstoneApp> BusinessWinstone97() {
@@ -123,76 +119,45 @@ WinstoneSuite::WinstoneSuite(StressLoad::Deps deps, std::vector<WinstoneApp> app
 void WinstoneSuite::Start(std::function<void(double)> done) {
   done_ = std::move(done);
   started_at_ = deps_.kernel->GetCycleCount();
-  deps_.kernel->PsCreateSystemThread("Winstone suite", 9, [this] { RunApp(0); });
+  deps_.kernel->PsCreateSystemThread("Winstone suite", 9, [this] { return Run(); });
 }
 
-void WinstoneSuite::RunApp(std::size_t index) {
+kernel::ThreadBody WinstoneSuite::Run() {
   kernel::Kernel& k = *deps_.kernel;
-  if (index >= apps_.size()) {
-    finished_ = true;
-    elapsed_seconds_ = sim::CyclesToSec(k.GetCycleCount() - started_at_);
-    if (done_) {
-      done_(elapsed_seconds_);
+  for (const WinstoneApp& app : apps_) {
+    // InstallShield: a burst of file traffic plus unpacking CPU.
+    for (int op = 0; op < app.install_file_ops; ++op) {
+      SubmitFileOp(deps_, rng_, app.file_bytes, &io_event_);
+      co_await k.Wait(&io_event_);
+      co_await k.Compute(k.profile().file_op_kernel_us.SampleUs(rng_));
     }
-    k.ExitThread();
-    return;
+    for (int iteration = 0; iteration < app.iterations; ++iteration) {
+      co_await k.Compute(app.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3));
+      if (rng_.Bernoulli(app.ui_event_probability)) {
+        if (deps_.sound_scheme != nullptr) {
+          deps_.sound_scheme->OnUiEvent();
+        }
+        k.ExQueueWorkItem(rng_.Uniform(20.0, 100.0), Label{"WIN32K", "_Repaint"});
+      }
+      for (int op = 0; op < app.file_ops_per_iteration; ++op) {
+        SubmitFileOp(deps_, rng_, app.file_bytes, &io_event_);
+        co_await k.Wait(&io_event_);
+        co_await k.Compute(k.profile().file_op_kernel_us.SampleUs(rng_));
+      }
+    }
+    // Uninstall and move on.
+    for (int op = 0; op < app.uninstall_file_ops; ++op) {
+      SubmitFileOp(deps_, rng_, app.file_bytes, &io_event_);
+      co_await k.Wait(&io_event_);
+      co_await k.Compute(k.profile().file_op_kernel_us.SampleUs(rng_));
+    }
+    ++apps_completed_;
   }
-  const WinstoneApp& app = apps_[index];
-  current_file_bytes_ = app.file_bytes;
-  // InstallShield: a burst of file traffic plus unpacking CPU.
-  DoFileOps(app.install_file_ops, [this, index, &app] {
-    Iterate(app, app.iterations, [this, index, &app] {
-      // Uninstall and move on.
-      DoFileOps(app.uninstall_file_ops, [this, index] {
-        ++apps_completed_;
-        RunApp(index + 1);
-      });
-    });
-  });
-}
-
-void WinstoneSuite::Iterate(const WinstoneApp& app, int remaining,
-                            std::function<void()> then) {
-  kernel::Kernel& k = *deps_.kernel;
-  if (remaining == 0) {
-    then();
-    return;
+  finished_ = true;
+  elapsed_seconds_ = sim::CyclesToSec(k.GetCycleCount() - started_at_);
+  if (done_) {
+    done_(elapsed_seconds_);
   }
-  k.Compute(app.cpu_us_per_iteration * rng_.Uniform(0.7, 1.3),
-            [this, &app, remaining, then = std::move(then)]() mutable {
-              if (rng_.Bernoulli(app.ui_event_probability)) {
-                if (deps_.sound_scheme != nullptr) {
-                  deps_.sound_scheme->OnUiEvent();
-                }
-                deps_.kernel->ExQueueWorkItem(rng_.Uniform(20.0, 100.0),
-                                              kernel::Label{"WIN32K", "_Repaint"});
-              }
-              DoFileOps(app.file_ops_per_iteration,
-                        [this, &app, remaining, then = std::move(then)]() mutable {
-                          Iterate(app, remaining - 1, std::move(then));
-                        });
-            });
-}
-
-void WinstoneSuite::DoFileOps(int remaining, std::function<void()> then) {
-  kernel::Kernel& k = *deps_.kernel;
-  if (remaining == 0) {
-    then();
-    return;
-  }
-  const auto bytes = static_cast<std::uint32_t>(
-      rng_.Uniform(0.5 * current_file_bytes_, 1.5 * current_file_bytes_));
-  if (deps_.virus_scanner != nullptr) {
-    deps_.virus_scanner->OnFileOperation(bytes);
-  }
-  deps_.disk->SubmitIo(bytes, [this] { deps_.kernel->KeSetEvent(&io_event_); });
-  k.Wait(&io_event_, [this, remaining, then = std::move(then)]() mutable {
-    kernel::Kernel& kernel = *deps_.kernel;
-    kernel.Compute(kernel.profile().file_op_kernel_us.SampleUs(rng_),
-                   [this, remaining, then = std::move(then)]() mutable {
-                     DoFileOps(remaining - 1, std::move(then));
-                   });
-  });
 }
 
 }  // namespace wdmlat::workload

@@ -73,8 +73,7 @@ class WinstoneScript {
   double elapsed_seconds() const { return elapsed_seconds_; }
 
  private:
-  void Iterate();
-  void DoFileOps(int remaining);
+  kernel::ThreadBody Run();
 
   StressLoad::Deps deps_;
   Config cfg_;
@@ -82,7 +81,6 @@ class WinstoneScript {
   std::function<void(double)> done_;
   kernel::KEvent io_event_{kernel::EventType::kSynchronization};
   sim::Cycles started_at_ = 0;
-  int remaining_iterations_ = 0;
   bool finished_ = false;
   double elapsed_seconds_ = 0.0;
 };
@@ -100,9 +98,7 @@ class WinstoneSuite {
   std::size_t apps_completed() const { return apps_completed_; }
 
  private:
-  void RunApp(std::size_t index);
-  void DoFileOps(int remaining, std::function<void()> then);
-  void Iterate(const WinstoneApp& app, int remaining, std::function<void()> then);
+  kernel::ThreadBody Run();
 
   StressLoad::Deps deps_;
   std::vector<WinstoneApp> apps_;
@@ -113,7 +109,6 @@ class WinstoneSuite {
   std::size_t apps_completed_ = 0;
   bool finished_ = false;
   double elapsed_seconds_ = 0.0;
-  double current_file_bytes_ = 48.0 * 1024;
 };
 
 }  // namespace wdmlat::workload

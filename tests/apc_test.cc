@@ -18,11 +18,9 @@ TEST(ApcTest, ApcInterruptsAnAlertableWait) {
   KEvent never;
   bool apc_ran = false;
   sim::Cycles resumed_at = 0;
-  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&] {
-    sys.kernel().WaitAlertable(&never, [&] {
-      resumed_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitAlertable(&never);
+    resumed_at = sys.kernel().GetCycleCount();
   });
   const sim::Cycles queue_at = sim::MsToCycles(2.0);
   sys.engine().ScheduleAt(queue_at, [&] {
@@ -41,11 +39,9 @@ TEST(ApcTest, ApcsDeliverBeforeTheWaitResumes) {
   MiniSystem sys;
   KEvent never;
   std::vector<int> order;
-  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&] {
-    sys.kernel().WaitAlertable(&never, [&] {
-      order.push_back(99);  // resumed continuation
-      sys.kernel().ExitThread();
-    });
+  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitAlertable(&never);
+    order.push_back(99);  // the body resumed
   });
   sys.engine().ScheduleAt(sim::MsToCycles(2.0), [&] {
     sys.kernel().QueueUserApc(app, [&] { order.push_back(1); });
@@ -59,14 +55,11 @@ TEST(ApcTest, PendingApcsDeliverImmediatelyAtWait) {
   MiniSystem sys;
   KEvent never;
   std::vector<int> order;
-  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&] {
+  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
     // Compute first so the APC is queued while the thread is busy.
-    sys.kernel().Compute(5000.0, [&] {
-      sys.kernel().WaitAlertable(&never, [&] {
-        order.push_back(99);
-        sys.kernel().ExitThread();
-      });
-    });
+    co_await sys.kernel().Compute(5000.0);
+    co_await sys.kernel().WaitAlertable(&never);
+    order.push_back(99);
   });
   sys.engine().ScheduleAt(sim::MsToCycles(1.0), [&] {
     sys.kernel().QueueUserApc(app, [&] { order.push_back(1); });
@@ -81,14 +74,11 @@ TEST(ApcTest, NonAlertableWaitIgnoresApcsUntilAlertable) {
   KEvent gate;
   KEvent never;
   std::vector<int> order;
-  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&] {
-    sys.kernel().Wait(&gate, [&] {  // plain, non-alertable
-      order.push_back(0);
-      sys.kernel().WaitAlertable(&never, [&] {
-        order.push_back(99);
-        sys.kernel().ExitThread();
-      });
-    });
+  KThread* app = sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&gate);  // plain, non-alertable
+    order.push_back(0);
+    co_await sys.kernel().WaitAlertable(&never);
+    order.push_back(99);
   });
   sys.engine().ScheduleAt(sim::MsToCycles(1.0), [&] {
     sys.kernel().QueueUserApc(app, [&] { order.push_back(1); });
@@ -106,11 +96,9 @@ TEST(ApcTest, AlertableWaitStillSatisfiedByTheEvent) {
   MiniSystem sys;
   KEvent event;
   bool resumed = false;
-  sys.kernel().PsCreateSystemThread("app", 10, [&] {
-    sys.kernel().WaitAlertable(&event, [&] {
-      resumed = true;
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitAlertable(&event);
+    resumed = true;
   });
   sys.engine().ScheduleAt(sim::MsToCycles(2.0), [&] { sys.kernel().KeSetEvent(&event); });
   sys.RunForMs(10.0);
@@ -131,11 +119,12 @@ TEST(ApcTest, ReadFileExStyleCompletionLoop) {
         sys.kernel().QueueUserApc(app, [&] { ++completions; });
       },
       sim::DurationDist::Constant(2.0), Label{"T", "_complete"});
-  std::function<void()> loop = [&] {
-    sys.kernel().KeSetTimerMs(&timer, 2.0, &dpc);  // the pending I/O
-    sys.kernel().WaitAlertable(&never, [&] { loop(); });
-  };
-  app = sys.kernel().PsCreateSystemThread("app", 10, [&] { loop(); });
+  app = sys.kernel().PsCreateSystemThread("app", 10, [&]() -> ThreadBody {
+    for (;;) {
+      sys.kernel().KeSetTimerMs(&timer, 2.0, &dpc);  // the pending I/O
+      co_await sys.kernel().WaitAlertable(&never);
+    }
+  });
   sys.RunForMs(100.0);
   EXPECT_GT(completions, 25);
 }

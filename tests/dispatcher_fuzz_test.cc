@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -35,20 +34,17 @@ TEST_P(DispatcherFuzzTest, RandomOperationStormKeepsInvariants) {
   std::vector<KTimer> timers(4);
 
   // Worker threads that wait on random events and compute random bursts.
-  // The test owns the loops; each closure holds a plain pointer to its own.
   std::uint64_t wakeups = 0;
-  std::vector<std::function<void()>> loops(6);
   for (int t = 0; t < 6; ++t) {
     const int event_index = t % kEvents;
-    std::function<void()>* loop = &loops[t];
-    *loop = [&, event_index, loop] {
-      sys.kernel().Wait(&events[event_index], [&, loop] {
-        ++wakeups;
-        sys.kernel().Compute(rng.Uniform(5.0, 500.0), [loop] { (*loop)(); });
-      });
-    };
-    sys.kernel().PsCreateSystemThread("fuzz" + std::to_string(t), 1 + (t * 5) % 28,
-                                      [loop] { (*loop)(); });
+    sys.kernel().PsCreateSystemThread(
+        "fuzz" + std::to_string(t), 1 + (t * 5) % 28, [&, event_index]() -> ThreadBody {
+          for (;;) {
+            co_await sys.kernel().Wait(&events[event_index]);
+            ++wakeups;
+            co_await sys.kernel().Compute(rng.Uniform(5.0, 500.0));
+          }
+        });
   }
 
   // Causality monitors.

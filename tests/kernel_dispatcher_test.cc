@@ -171,11 +171,9 @@ TEST(DispatcherTest, ThreadAtDispatchIrqlBlocksDpcUntilSegmentEnds) {
   sim::Cycles segment_end_expected = 0;
   KDpc dpc([&] { dpc_start = sys.kernel().GetCycleCount(); }, sim::DurationDist::Constant(5.0),
            Label{"T", "_d"});
-  sys.kernel().PsCreateSystemThread("raised", 8, [&] {
+  sys.kernel().PsCreateSystemThread("raised", 8, [&]() -> ThreadBody {
     segment_end_expected = sys.kernel().GetCycleCount() + sim::UsToCycles(300.0);
-    sys.kernel().ComputeAt(300.0, Irql::kDispatch, Label{"T", "_raised"}, [&] {
-      sys.kernel().ExitThread();
-    });
+    co_await sys.kernel().ComputeAt(300.0, Irql::kDispatch, Label{"T", "_raised"});
   });
   // Queue the DPC mid-segment.
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] { sys.kernel().KeInsertQueueDpc(&dpc); });
@@ -190,11 +188,9 @@ TEST(DispatcherTest, DpcPreemptsPassiveThreadSegment) {
   sim::Cycles thread_done = 0;
   KDpc dpc([&] { dpc_start = sys.kernel().GetCycleCount(); }, sim::DurationDist::Constant(50.0),
            Label{"T", "_d"});
-  sys.kernel().PsCreateSystemThread("victim", 8, [&] {
-    sys.kernel().Compute(500.0, [&] {
-      thread_done = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("victim", 8, [&]() -> ThreadBody {
+    co_await sys.kernel().Compute(500.0);
+    thread_done = sys.kernel().GetCycleCount();
   });
   sys.engine().ScheduleAt(sim::UsToCycles(200.0), [&] { sys.kernel().KeInsertQueueDpc(&dpc); });
   sys.RunForUs(900.0);
@@ -209,17 +205,13 @@ TEST(DispatcherTest, HigherPriorityThreadPreemptsImmediately) {
   KEvent wake;
   sim::Cycles high_ran_at = 0;
   sim::Cycles low_done_at = 0;
-  sys.kernel().PsCreateSystemThread("high", 20, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      high_ran_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("high", 20, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    high_ran_at = sys.kernel().GetCycleCount();
   });
-  sys.kernel().PsCreateSystemThread("low", 8, [&] {
-    sys.kernel().Compute(600.0, [&] {
-      low_done_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("low", 8, [&]() -> ThreadBody {
+    co_await sys.kernel().Compute(600.0);
+    low_done_at = sys.kernel().GetCycleCount();
   });
   const sim::Cycles signal_at = sim::UsToCycles(300.0);
   sys.engine().ScheduleAt(signal_at, [&] { sys.kernel().KeSetEvent(&wake); });
@@ -235,20 +227,18 @@ TEST(DispatcherTest, EqualPriorityRoundRobinViaQuantum) {
   MiniSystem sys;
   std::uint64_t progress_a = 0;
   std::uint64_t progress_b = 0;
-  std::function<void()> loop_a = [&] {
-    sys.kernel().Compute(1000.0, [&] {
+  sys.kernel().PsCreateSystemThread("a", 8, [&]() -> ThreadBody {
+    for (;;) {
+      co_await sys.kernel().Compute(1000.0);
       ++progress_a;
-      loop_a();
-    });
-  };
-  std::function<void()> loop_b = [&] {
-    sys.kernel().Compute(1000.0, [&] {
+    }
+  });
+  sys.kernel().PsCreateSystemThread("b", 8, [&]() -> ThreadBody {
+    for (;;) {
+      co_await sys.kernel().Compute(1000.0);
       ++progress_b;
-      loop_b();
-    });
-  };
-  sys.kernel().PsCreateSystemThread("a", 8, [&] { loop_a(); });
-  sys.kernel().PsCreateSystemThread("b", 8, [&] { loop_b(); });
+    }
+  });
   sys.RunForMs(200.0);
   // Both must make progress, within a factor of two of each other.
   EXPECT_GT(progress_a, 50u);
@@ -265,11 +255,9 @@ TEST(DispatcherTest, DispatchLockoutDelaysThreadsButNotDpcs) {
   sim::Cycles dpc_ran_at = 0;
   KDpc dpc([&] { dpc_ran_at = sys.kernel().GetCycleCount(); }, sim::DurationDist::Constant(5.0),
            Label{"T", "_d"});
-  sys.kernel().PsCreateSystemThread("rt", 28, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      thread_ran_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("rt", 28, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    thread_ran_at = sys.kernel().GetCycleCount();
   });
   const sim::Cycles lock_start = sim::UsToCycles(100.0);
   const double lock_us = 5000.0;
@@ -291,11 +279,9 @@ TEST(DispatcherTest, OverlappingLockoutsExtendTheWindow) {
   MiniSystem sys;
   KEvent wake;
   sim::Cycles thread_ran_at = 0;
-  sys.kernel().PsCreateSystemThread("rt", 28, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      thread_ran_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("rt", 28, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    thread_ran_at = sys.kernel().GetCycleCount();
   });
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] { sys.kernel().LockDispatch(2000.0); });
   sys.engine().ScheduleAt(sim::UsToCycles(1000.0), [&] { sys.kernel().LockDispatch(4000.0); });
@@ -352,9 +338,9 @@ TEST(DispatcherTest, ContextSwitchCountsAreTracked) {
   MiniSystem sys;
   const std::uint64_t before = sys.kernel().dispatcher().context_switches();
   bool ran = false;
-  sys.kernel().PsCreateSystemThread("t", 8, [&] {
+  sys.kernel().PsCreateSystemThread("t", 8, [&]() -> ThreadBody {
     ran = true;
-    sys.kernel().ExitThread();
+    co_return;
   });
   sys.RunForMs(1.0);
   EXPECT_TRUE(ran);
@@ -365,16 +351,13 @@ TEST(DispatcherTest, PreemptedThreadResumesAndCompletesItsSegment) {
   MiniSystem sys;
   KEvent wake;
   sim::Cycles low_done = 0;
-  sys.kernel().PsCreateSystemThread("high", 20, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      sys.kernel().Compute(1000.0, [&] { sys.kernel().ExitThread(); });
-    });
+  sys.kernel().PsCreateSystemThread("high", 20, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    co_await sys.kernel().Compute(1000.0);
   });
-  sys.kernel().PsCreateSystemThread("low", 8, [&] {
-    sys.kernel().Compute(2000.0, [&] {
-      low_done = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("low", 8, [&]() -> ThreadBody {
+    co_await sys.kernel().Compute(2000.0);
+    low_done = sys.kernel().GetCycleCount();
   });
   sys.engine().ScheduleAt(sim::UsToCycles(500.0), [&] { sys.kernel().KeSetEvent(&wake); });
   sys.RunForMs(10.0);

@@ -16,17 +16,13 @@ TEST(EventTest, SynchronizationEventWakesExactlyOneWaiter) {
   MiniSystem sys;
   KEvent event;  // synchronization, non-signaled
   std::vector<int> woken;
-  sys.kernel().PsCreateSystemThread("w1", 10, [&] {
-    sys.kernel().Wait(&event, [&] {
-      woken.push_back(1);
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("w1", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&event);
+    woken.push_back(1);
   });
-  sys.kernel().PsCreateSystemThread("w2", 10, [&] {
-    sys.kernel().Wait(&event, [&] {
-      woken.push_back(2);
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("w2", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&event);
+    woken.push_back(2);
   });
   sys.engine().ScheduleAt(sim::MsToCycles(1.5), [&] { sys.kernel().KeSetEvent(&event); });
   sys.RunForMs(5.0);
@@ -44,11 +40,9 @@ TEST(EventTest, NotificationEventWakesAllWaitersAndStaysSignaled) {
   KEvent event(EventType::kNotification);
   int woken = 0;
   for (int i = 0; i < 3; ++i) {
-    sys.kernel().PsCreateSystemThread("w", 10, [&] {
-      sys.kernel().Wait(&event, [&] {
-        ++woken;
-        sys.kernel().ExitThread();
-      });
+    sys.kernel().PsCreateSystemThread("w", 10, [&]() -> ThreadBody {
+      co_await sys.kernel().Wait(&event);
+      ++woken;
     });
   }
   sys.engine().ScheduleAt(sim::MsToCycles(1.5), [&] { sys.kernel().KeSetEvent(&event); });
@@ -62,12 +56,10 @@ TEST(EventTest, WaitOnSignaledSyncEventIsImmediateAndConsumes) {
   KEvent event(EventType::kSynchronization, /*initial_state=*/true);
   sim::Cycles waited_at = 0;
   sim::Cycles resumed_at = 0;
-  sys.kernel().PsCreateSystemThread("w", 10, [&] {
+  sys.kernel().PsCreateSystemThread("w", 10, [&]() -> ThreadBody {
     waited_at = sys.kernel().GetCycleCount();
-    sys.kernel().Wait(&event, [&] {
-      resumed_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+    co_await sys.kernel().Wait(&event);
+    resumed_at = sys.kernel().GetCycleCount();
   });
   sys.RunForMs(2.0);
   EXPECT_EQ(waited_at, resumed_at);  // no block, no dispatch
@@ -149,12 +141,10 @@ TEST(ThreadTest, SleepBlocksForAtLeastTheRequestedTime) {
   MiniSystem sys;
   sim::Cycles slept_at = 0;
   sim::Cycles resumed_at = 0;
-  sys.kernel().PsCreateSystemThread("sleeper", 10, [&] {
+  sys.kernel().PsCreateSystemThread("sleeper", 10, [&]() -> ThreadBody {
     slept_at = sys.kernel().GetCycleCount();
-    sys.kernel().Sleep(5.0, [&] {
-      resumed_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+    co_await sys.kernel().Sleep(5.0);
+    resumed_at = sys.kernel().GetCycleCount();
   });
   sys.RunForMs(10.0);
   ASSERT_NE(resumed_at, 0u);
@@ -169,17 +159,13 @@ TEST(ThreadTest, SetPriorityThreadAffectsDispatchOrder) {
   // Notification event: both waiters become ready at the same instant, so
   // dispatch order is purely a priority decision.
   KEvent start(EventType::kNotification);
-  KThread* t1 = sys.kernel().PsCreateSystemThread("t1", 5, [&] {
-    sys.kernel().Wait(&start, [&] {
-      order.push_back(1);
-      sys.kernel().ExitThread();
-    });
+  KThread* t1 = sys.kernel().PsCreateSystemThread("t1", 5, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&start);
+    order.push_back(1);
   });
-  sys.kernel().PsCreateSystemThread("t2", 9, [&] {
-    sys.kernel().Wait(&start, [&] {
-      order.push_back(2);
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("t2", 9, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&start);
+    order.push_back(2);
   });
   sys.engine().ScheduleAt(sim::MsToCycles(1.2), [&] {
     sys.kernel().KeSetPriorityThread(t1, 12);
@@ -194,8 +180,8 @@ TEST(ThreadTest, SetPriorityThreadAffectsDispatchOrder) {
 TEST(ThreadTest, RealTimeThreadsGetNoWaitBoost) {
   MiniSystem sys;
   KEvent event;
-  KThread* rt = sys.kernel().PsCreateSystemThread("rt", 24, [&] {
-    sys.kernel().Wait(&event, [&] { sys.kernel().ExitThread(); });
+  KThread* rt = sys.kernel().PsCreateSystemThread("rt", 24, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&event);
   });
   sys.RunForMs(1.0);
   sys.engine().ScheduleAfter(0, [&] { sys.kernel().KeSetEvent(&event); });
@@ -208,13 +194,12 @@ TEST(ThreadTest, NormalThreadWaitBoostDecaysAtNextWait) {
   KEvent event;
   KThread* worker = nullptr;
   int wakes = 0;
-  std::function<void()> loop = [&] {
-    sys.kernel().Wait(&event, [&] {
+  worker = sys.kernel().PsCreateSystemThread("normal", 8, [&]() -> ThreadBody {
+    for (;;) {
+      co_await sys.kernel().Wait(&event);
       ++wakes;
-      loop();
-    });
-  };
-  worker = sys.kernel().PsCreateSystemThread("normal", 8, [&] { loop(); });
+    }
+  });
   sys.RunForMs(1.0);
   sys.engine().ScheduleAfter(0, [&] {
     sys.kernel().KeSetEvent(&event);
@@ -252,11 +237,9 @@ TEST(WorkItemTest, WorkItemDelaysEqualPriorityRtThread) {
   KEvent wake;
   sim::Cycles signaled_at = 0;
   sim::Cycles ran_at = 0;
-  sys.kernel().PsCreateSystemThread("rt24", 24, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      ran_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("rt24", 24, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    ran_at = sys.kernel().GetCycleCount();
   });
   // Give the worker 3 ms of work, then signal the 24 thread shortly after it
   // starts: the thread must wait for the worker to block (same priority, no
@@ -292,11 +275,9 @@ TEST(ThreadTest, ManyThreadsAllRunToCompletion) {
   MiniSystem sys;
   int completed = 0;
   for (int i = 0; i < 50; ++i) {
-    sys.kernel().PsCreateSystemThread("t" + std::to_string(i), 1 + (i % 15), [&] {
-      sys.kernel().Compute(100.0, [&] {
-        ++completed;
-        sys.kernel().ExitThread();
-      });
+    sys.kernel().PsCreateSystemThread("t" + std::to_string(i), 1 + (i % 15), [&]() -> ThreadBody {
+      co_await sys.kernel().Compute(100.0);
+      ++completed;
     });
   }
   sys.RunForMs(50.0);

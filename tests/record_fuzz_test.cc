@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -33,6 +32,7 @@
 #include "src/lab/report_io.h"
 #include "src/obs/json.h"
 #include "src/sim/rng.h"
+#include "tests/json_mutator.h"
 
 namespace wdmlat::lab {
 namespace {
@@ -293,126 +293,11 @@ class ReferenceDecoder {
   bool strict_;
 };
 
-// --- A mutable JSON tree for structural mutations ----------------------------
+// --- Record-line mutations (the engine is tests/json_mutator.h) -------------
 
-struct Node {
-  obs::JsonValue::Kind kind = obs::JsonValue::Kind::kNull;
-  std::string text;  // string value, or a number/literal's spelling
-  bool raw = false;  // `text` is written verbatim (a respelled value)
-  std::vector<std::pair<std::string, Node>> members;
-  std::vector<Node> items;
-};
-
-Node FromValue(const obs::JsonValue& value) {
-  Node node;
-  node.kind = value.kind();
-  switch (value.kind()) {
-    case obs::JsonValue::Kind::kNull:
-      node.text = "null";
-      break;
-    case obs::JsonValue::Kind::kBool:
-      node.text = value.as_bool() ? "true" : "false";
-      break;
-    case obs::JsonValue::Kind::kNumber: {
-      char buf[32];
-      const auto result = std::to_chars(buf, buf + sizeof(buf), value.as_number());
-      node.text.assign(buf, result.ptr);
-      break;
-    }
-    case obs::JsonValue::Kind::kString:
-      node.text = value.as_string();
-      break;
-    case obs::JsonValue::Kind::kArray:
-      for (const obs::JsonValue& item : value.items()) {
-        node.items.push_back(FromValue(item));
-      }
-      break;
-    case obs::JsonValue::Kind::kObject:
-      for (const auto& [key, member] : value.members()) {
-        node.members.emplace_back(key, FromValue(member));
-      }
-      break;
-  }
-  return node;
-}
-
-// Written in the record writers' layout, so an unmutated tree reproduces
-// the line byte for byte.
-void Write(const Node& node, std::string* out) {
-  if (node.raw) {
-    *out += node.text;
-    return;
-  }
-  switch (node.kind) {
-    case obs::JsonValue::Kind::kString:
-      *out += '"';
-      report_json::AppendEscaped(*out, node.text);
-      *out += '"';
-      return;
-    case obs::JsonValue::Kind::kArray:
-      *out += '[';
-      for (std::size_t i = 0; i < node.items.size(); ++i) {
-        if (i != 0) *out += ", ";
-        Write(node.items[i], out);
-      }
-      *out += ']';
-      return;
-    case obs::JsonValue::Kind::kObject:
-      *out += '{';
-      for (std::size_t i = 0; i < node.members.size(); ++i) {
-        if (i != 0) *out += ", ";
-        *out += '"';
-        report_json::AppendEscaped(*out, node.members[i].first);
-        *out += "\": ";
-        Write(node.members[i].second, out);
-      }
-      *out += '}';
-      return;
-    default:
-      *out += node.text;
-  }
-}
-
-void Collect(Node* node, std::vector<Node*>* objects, std::vector<Node*>* leaves) {
-  if (node->kind == obs::JsonValue::Kind::kObject) {
-    objects->push_back(node);
-    for (auto& member : node->members) Collect(&member.second, objects, leaves);
-  } else if (node->kind == obs::JsonValue::Kind::kArray) {
-    for (Node& item : node->items) Collect(&item, objects, leaves);
-  } else {
-    leaves->push_back(node);
-  }
-}
-
-// Other spellings of a leaf's value: some equal in value, most not
-// canonical.
-std::vector<std::string> Respellings(const Node& leaf) {
-  if (leaf.kind == obs::JsonValue::Kind::kNumber) {
-    const std::string& n = leaf.text;
-    return {n + ".0", n + "e0", n + ".5", "-" + n, "0" + n, n + "0", "1e300", "-0", "2", "256",
-            "\"" + n + "\""};
-  }
-  if (leaf.kind != obs::JsonValue::Kind::kString) {
-    return {"0", "\"\"", "null"};
-  }
-  const std::string& s = leaf.text;
-  std::string upper = s;
-  for (char& c : upper) {
-    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-  }
-  std::string quoted_forms[] = {"-" + s, "+" + s, " " + s, s + " ", "0" + s, upper,
-                                s + "0", "inf", "nan", "-nan", "-1", "1.5",
-                                "0x1p+1024", "0x1.0p+0", "18446744073709551616"};
-  std::vector<std::string> out;
-  for (const std::string& form : quoted_forms) {
-    std::string text = "\"";
-    report_json::AppendEscaped(text, form);
-    out.push_back(text + "\"");
-  }
-  out.push_back(s.empty() ? "0" : s);  // unquoted
-  return out;
-}
-
+// The engine's text mutations on the line, its tree mutations on the line
+// and, with the checksum recomputed, on the payload, and an escape inside a
+// payload string.
 enum Mutation {
   kByteFlip,
   kTruncate,
@@ -436,66 +321,12 @@ const char* const kMutationNames[kMutationCount] = {
     "payload duplicate", "payload unknown key", "payload drop",  "payload respell",
     "payload escape"};
 
-const char* const kEscapes[] = {"\\n",     "\\t",           "\\u00e9",  "\\ud83d\\ude00",
-                                "\\udc00", "\\ud83d",       "\\/",      "\\x",
-                                "\\u12",   "\\u0070",       "\\\"",     "\\\\"};
-
-std::size_t Pick(sim::Rng& rng, std::size_t n) {
-  return static_cast<std::size_t>(rng.UniformInt(0, n - 1));
-}
-
-// One structural mutation of `root` (reorder, duplicate, unknown, drop or
-// respell at a random object or leaf).
-void MutateTree(Node* root, Mutation kind, sim::Rng& rng) {
-  std::vector<Node*> objects;
-  std::vector<Node*> leaves;
-  Collect(root, &objects, &leaves);
-  Node* object = objects[Pick(rng, objects.size())];
-  auto& members = object->members;
-  switch (kind) {
-    case kLineReorder:
-    case kPayloadReorder:
-      for (std::size_t i = members.size(); i > 1; --i) {
-        std::swap(members[i - 1], members[Pick(rng, i)]);
-      }
-      break;
-    case kLineDuplicate:
-    case kPayloadDuplicate:
-      if (!members.empty()) {
-        members.insert(members.begin() + static_cast<std::ptrdiff_t>(Pick(rng, members.size() + 1)),
-                       members[Pick(rng, members.size())]);
-      }
-      break;
-    case kLineUnknown:
-    case kPayloadUnknown: {
-      Node value;
-      value.raw = true;
-      const char* values[] = {"1", "\"x\"", "[1, {\"y\": null}]", "{\"z\": [true]}", "1e999"};
-      value.text = values[Pick(rng, 5)];
-      members.emplace(members.begin() + static_cast<std::ptrdiff_t>(Pick(rng, members.size() + 1)),
-                      "unknown" + std::to_string(Pick(rng, 3)), value);
-      break;
-    }
-    case kLineDrop:
-    case kPayloadDrop:
-      if (!members.empty()) {
-        members.erase(members.begin() + static_cast<std::ptrdiff_t>(Pick(rng, members.size())));
-      }
-      break;
-    default: {  // respell
-      Node* leaf = leaves[Pick(rng, leaves.size())];
-      const std::vector<std::string> forms = Respellings(*leaf);
-      leaf->text = forms[Pick(rng, forms.size())];
-      leaf->raw = true;
-    }
-  }
-}
-
-std::string Serialize(const Node& node) {
-  std::string out;
-  Write(node, &out);
-  return out;
-}
+// The engine mutation each kind applies (kPayloadEscape is this file's).
+constexpr testutil::JsonMutation kEngineMutation[kMutationCount] = {
+    testutil::kByteFlip, testutil::kTruncate,   testutil::kEscapeInjection, testutil::kReorder,
+    testutil::kDuplicate, testutil::kUnknownKey, testutil::kDrop,           testutil::kReorder,
+    testutil::kDuplicate, testutil::kUnknownKey, testutil::kDrop,           testutil::kRespell,
+    testutil::kEscapeInjection};
 
 // A line whose payload is `payload`, checksum recomputed; `line_root` keeps
 // the original cell, seed and fingerprint.
@@ -510,38 +341,23 @@ std::string WithPayload(const obs::JsonValue& line_root, const std::string& payl
 }
 
 std::string Mutate(const std::string& line, Mutation kind, sim::Rng& rng) {
-  std::string out = line;
-  switch (kind) {
-    case kByteFlip:
-      out[Pick(rng, out.size())] ^= static_cast<char>(1 << Pick(rng, 8));
-      return out;
-    case kTruncate:
-      out.resize(Pick(rng, out.size()));
-      return out;
-    case kEscapeInjection:
-      out.insert(Pick(rng, out.size() + 1), kEscapes[Pick(rng, std::size(kEscapes))]);
-      return out;
-    default:
-      break;
+  if (kind <= kLineDrop) {
+    return testutil::Mutate(line, kEngineMutation[kind], rng);
   }
   const obs::JsonParseResult parsed = obs::ParseJson(line);
-  Node root = FromValue(parsed.value);
-  if (kind <= kLineDrop) {
-    MutateTree(&root, kind, rng);
-    return Serialize(root);
-  }
   std::string payload = parsed.value.StringOr("payload", "");
   if (kind == kPayloadEscape) {
     // An escape inside some payload string (a JSON escape in the payload,
     // written with its backslash escaped on the line).
-    std::size_t quote = payload.find('"', Pick(rng, payload.size()));
+    std::size_t quote = payload.find('"', testutil::Pick(rng, payload.size()));
     if (quote == std::string::npos) quote = payload.find('"');
-    payload.insert(quote + 1, kEscapes[Pick(rng, std::size(kEscapes))]);
+    payload.insert(quote + 1,
+                   testutil::kJsonEscapes[testutil::Pick(rng, std::size(testutil::kJsonEscapes))]);
     return WithPayload(parsed.value, payload);
   }
-  Node body = FromValue(obs::ParseJson(payload).value);
-  MutateTree(&body, kind, rng);
-  return WithPayload(parsed.value, Serialize(body));
+  testutil::JsonNode body = testutil::JsonNodeFrom(obs::ParseJson(payload).value);
+  testutil::MutateTree(&body, kEngineMutation[kind], rng);
+  return WithPayload(parsed.value, testutil::SerializeJson(body));
 }
 
 std::vector<std::string> Corpus() {
@@ -577,9 +393,10 @@ TEST(RecordFuzz, CanonicalLinesRoundTripThroughTheHarness) {
   for (const std::string& line : Corpus()) {
     const obs::JsonParseResult parsed = obs::ParseJson(line);
     ASSERT_TRUE(parsed.valid);
-    EXPECT_EQ(Serialize(FromValue(parsed.value)), line);
+    EXPECT_EQ(testutil::SerializeJson(testutil::JsonNodeFrom(parsed.value)), line);
     const std::string payload = parsed.value.StringOr("payload", "");
-    EXPECT_EQ(Serialize(FromValue(obs::ParseJson(payload).value)), payload);
+    EXPECT_EQ(testutil::SerializeJson(testutil::JsonNodeFrom(obs::ParseJson(payload).value)),
+              payload);
     EXPECT_EQ(WithPayload(parsed.value, payload), line);
     FleetCellRecord record;
     std::string error;
@@ -598,7 +415,7 @@ TEST(RecordFuzz, StreamingDecoderMatchesTheDomDecoder) {
   constexpr int kIterations = 6000;
   for (int iteration = 0; iteration < kIterations; ++iteration) {
     const Mutation kind = static_cast<Mutation>(iteration % kMutationCount);
-    const std::string line = Mutate(corpus[Pick(rng, corpus.size())], kind, rng);
+    const std::string line = Mutate(corpus[testutil::Pick(rng, corpus.size())], kind, rng);
     FleetCellRecord got;
     FleetCellRecord expected;
     FleetCellRecord before;

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -246,20 +245,17 @@ FuzzOutcome RunSmpStorm(std::uint64_t seed, bool migrating) {
   }
   std::vector<kernel::KTimer> timers(4);
 
-  // The storm owns the loops; each closure holds a plain pointer to its own.
   std::vector<kernel::KThread*> threads;
-  std::vector<std::function<void()>> loops(8);
   for (int t = 0; t < 8; ++t) {
     const int event_index = t % kEvents;
-    std::function<void()>* loop = &loops[t];
-    *loop = [&, event_index, loop] {
-      k.Wait(&events[event_index], [&, loop] {
-        ++out.wakeups;
-        k.Compute(rng.Uniform(5.0, 500.0), [loop] { (*loop)(); });
-      });
-    };
-    threads.push_back(k.PsCreateSystemThread("fuzz" + std::to_string(t),
-                                             1 + (t * 5) % 28, [loop] { (*loop)(); }));
+    threads.push_back(k.PsCreateSystemThread(
+        "fuzz" + std::to_string(t), 1 + (t * 5) % 28, [&, event_index]() -> kernel::ThreadBody {
+          for (;;) {
+            co_await k.Wait(&events[event_index]);
+            ++out.wakeups;
+            co_await k.Compute(rng.Uniform(5.0, 500.0));
+          }
+        }));
   }
 
   for (int i = 0; i < 3000; ++i) {

@@ -19,12 +19,10 @@ TEST(SemaphoreTest, WaitOnPositiveCountIsImmediate) {
   KSemaphore sem(2);
   sim::Cycles waited_at = 0;
   sim::Cycles resumed_at = 0;
-  sys.kernel().PsCreateSystemThread("w", 10, [&] {
+  sys.kernel().PsCreateSystemThread("w", 10, [&]() -> ThreadBody {
     waited_at = sys.kernel().GetCycleCount();
-    sys.kernel().WaitForSemaphore(&sem, [&] {
-      resumed_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+    co_await sys.kernel().WaitForSemaphore(&sem);
+    resumed_at = sys.kernel().GetCycleCount();
   });
   sys.RunForMs(2.0);
   EXPECT_EQ(waited_at, resumed_at);
@@ -36,11 +34,9 @@ TEST(SemaphoreTest, ReleaseWakesWaitersFifoUpToCount) {
   KSemaphore sem(0);
   std::vector<int> order;
   for (int i = 1; i <= 3; ++i) {
-    sys.kernel().PsCreateSystemThread("w" + std::to_string(i), 10, [&, i] {
-      sys.kernel().WaitForSemaphore(&sem, [&, i] {
-        order.push_back(i);
-        sys.kernel().ExitThread();
-      });
+    sys.kernel().PsCreateSystemThread("w" + std::to_string(i), 10, [&, i]() -> ThreadBody {
+      co_await sys.kernel().WaitForSemaphore(&sem);
+      order.push_back(i);
     });
   }
   sys.RunForMs(2.0);
@@ -68,15 +64,13 @@ TEST(SemaphoreTest, ProducerConsumerThroughSemaphore) {
   MiniSystem sys;
   KSemaphore items(0);
   int consumed = 0;
-  std::function<void()> consumer_loop = [&] {
-    sys.kernel().WaitForSemaphore(&items, [&] {
-      sys.kernel().Compute(50.0, [&] {
-        ++consumed;
-        consumer_loop();
-      });
-    });
-  };
-  sys.kernel().PsCreateSystemThread("consumer", 12, [&] { consumer_loop(); });
+  sys.kernel().PsCreateSystemThread("consumer", 12, [&]() -> ThreadBody {
+    for (;;) {
+      co_await sys.kernel().WaitForSemaphore(&items);
+      co_await sys.kernel().Compute(50.0);
+      ++consumed;
+    }
+  });
   // DPC-context producer: release from an engine event (as an ISR/DPC would).
   for (int i = 0; i < 20; ++i) {
     sys.engine().ScheduleAt(sim::MsToCycles(1.0 + i * 2.0),
@@ -90,13 +84,11 @@ TEST(MutexTest, UncontendedAcquireIsImmediate) {
   MiniSystem sys;
   KMutex mutex;
   bool acquired = false;
-  sys.kernel().PsCreateSystemThread("t", 10, [&] {
-    sys.kernel().WaitForMutex(&mutex, [&] {
-      acquired = true;
-      EXPECT_EQ(mutex.owner(), sys.kernel().KeGetCurrentThread());
-      sys.kernel().KeReleaseMutex(&mutex);
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("t", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitForMutex(&mutex);
+    acquired = true;
+    EXPECT_EQ(mutex.owner(), sys.kernel().KeGetCurrentThread());
+    sys.kernel().KeReleaseMutex(&mutex);
   });
   sys.RunForMs(2.0);
   EXPECT_TRUE(acquired);
@@ -107,16 +99,13 @@ TEST(MutexTest, RecursiveAcquisitionByOwner) {
   MiniSystem sys;
   KMutex mutex;
   int depth = 0;
-  sys.kernel().PsCreateSystemThread("t", 10, [&] {
-    sys.kernel().WaitForMutex(&mutex, [&] {
-      sys.kernel().WaitForMutex(&mutex, [&] {
-        depth = mutex.recursion();
-        sys.kernel().KeReleaseMutex(&mutex);
-        EXPECT_TRUE(mutex.held());  // still owned after one release
-        sys.kernel().KeReleaseMutex(&mutex);
-        sys.kernel().ExitThread();
-      });
-    });
+  sys.kernel().PsCreateSystemThread("t", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitForMutex(&mutex);
+    co_await sys.kernel().WaitForMutex(&mutex);
+    depth = mutex.recursion();
+    sys.kernel().KeReleaseMutex(&mutex);
+    EXPECT_TRUE(mutex.held());  // still owned after one release
+    sys.kernel().KeReleaseMutex(&mutex);
   });
   sys.RunForMs(2.0);
   EXPECT_EQ(depth, 2);
@@ -128,22 +117,17 @@ TEST(MutexTest, ContendedMutexPassesFifo) {
   KMutex mutex;
   std::vector<int> order;
   // Holder takes the mutex and keeps it for 5 ms of CPU.
-  sys.kernel().PsCreateSystemThread("holder", 10, [&] {
-    sys.kernel().WaitForMutex(&mutex, [&] {
-      sys.kernel().Compute(5000.0, [&] {
-        order.push_back(0);
-        sys.kernel().KeReleaseMutex(&mutex);
-        sys.kernel().ExitThread();
-      });
-    });
+  sys.kernel().PsCreateSystemThread("holder", 10, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitForMutex(&mutex);
+    co_await sys.kernel().Compute(5000.0);
+    order.push_back(0);
+    sys.kernel().KeReleaseMutex(&mutex);
   });
   for (int i = 1; i <= 2; ++i) {
-    sys.kernel().PsCreateSystemThread("waiter" + std::to_string(i), 10, [&, i] {
-      sys.kernel().WaitForMutex(&mutex, [&, i] {
-        order.push_back(i);
-        sys.kernel().KeReleaseMutex(&mutex);
-        sys.kernel().ExitThread();
-      });
+    sys.kernel().PsCreateSystemThread("waiter" + std::to_string(i), 10, [&, i]() -> ThreadBody {
+      co_await sys.kernel().WaitForMutex(&mutex);
+      order.push_back(i);
+      sys.kernel().KeReleaseMutex(&mutex);
     });
   }
   sys.RunForMs(30.0);
@@ -159,23 +143,17 @@ TEST(MutexTest, LongMutexHoldDelaysWaitersLikeWin16Mutex) {
   KMutex mutex;
   sim::Cycles high_acquired_at = 0;
   sim::Cycles high_wanted_at = 0;
-  sys.kernel().PsCreateSystemThread("legacy holder", 4, [&] {
-    sys.kernel().WaitForMutex(&mutex, [&] {
-      sys.kernel().Compute(25000.0, [&] {
-        sys.kernel().KeReleaseMutex(&mutex);
-        sys.kernel().ExitThread();
-      });
-    });
+  sys.kernel().PsCreateSystemThread("legacy holder", 4, [&]() -> ThreadBody {
+    co_await sys.kernel().WaitForMutex(&mutex);
+    co_await sys.kernel().Compute(25000.0);
+    sys.kernel().KeReleaseMutex(&mutex);
   });
-  sys.kernel().PsCreateSystemThread("rt waiter", 28, [&] {
-    sys.kernel().Sleep(2.0, [&] {
-      high_wanted_at = sys.kernel().GetCycleCount();
-      sys.kernel().WaitForMutex(&mutex, [&] {
-        high_acquired_at = sys.kernel().GetCycleCount();
-        sys.kernel().KeReleaseMutex(&mutex);
-        sys.kernel().ExitThread();
-      });
-    });
+  sys.kernel().PsCreateSystemThread("rt waiter", 28, [&]() -> ThreadBody {
+    co_await sys.kernel().Sleep(2.0);
+    high_wanted_at = sys.kernel().GetCycleCount();
+    co_await sys.kernel().WaitForMutex(&mutex);
+    high_acquired_at = sys.kernel().GetCycleCount();
+    sys.kernel().KeReleaseMutex(&mutex);
   });
   sys.RunForMs(60.0);
   ASSERT_NE(high_acquired_at, 0u);

@@ -75,9 +75,9 @@ TEST(TraceTest, CountsDpcsAndContextSwitches) {
   KDpc dpc([] {}, sim::DurationDist::Constant(10.0), Label{"T", "_d"});
   sys.engine().ScheduleAt(sim::UsToCycles(100.0), [&] { sys.kernel().KeInsertQueueDpc(&dpc); });
   bool ran = false;
-  sys.kernel().PsCreateSystemThread("traced", 10, [&] {
+  sys.kernel().PsCreateSystemThread("traced", 10, [&]() -> ThreadBody {
     ran = true;
-    sys.kernel().ExitThread();
+    co_return;
   });
   sys.RunForMs(2.0);
   EXPECT_TRUE(ran);

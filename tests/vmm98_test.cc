@@ -11,6 +11,7 @@ namespace wdmlat::vmm98 {
 namespace {
 
 using kernel::Label;
+using kernel::ThreadBody;
 using testutil::MiniSystem;
 
 TEST(VirusScannerTest, ScansAFractionOfFileOperations) {
@@ -29,11 +30,9 @@ TEST(VirusScannerTest, ScansLockOutThreadDispatching) {
   kernel::KEvent wake;
   sim::Cycles signaled_at = 0;
   sim::Cycles ran_at = 0;
-  sys.kernel().PsCreateSystemThread("rt", 28, [&] {
-    sys.kernel().Wait(&wake, [&] {
-      ran_at = sys.kernel().GetCycleCount();
-      sys.kernel().ExitThread();
-    });
+  sys.kernel().PsCreateSystemThread("rt", 28, [&]() -> ThreadBody {
+    co_await sys.kernel().Wait(&wake);
+    ran_at = sys.kernel().GetCycleCount();
   });
   VirusScanner::Config config;
   config.scan_probability = 1.0;
@@ -62,11 +61,9 @@ TEST(VirusScannerTest, LargerBuffersScanLonger) {
     kernel::KEvent wake;
     sim::Cycles signaled_at = 0;
     sim::Cycles ran_at = 0;
-    sys.kernel().PsCreateSystemThread("probe", 28, [&] {
-      sys.kernel().Wait(&wake, [&] {
-        ran_at = sys.kernel().GetCycleCount();
-        sys.kernel().ExitThread();
-      });
+    sys.kernel().PsCreateSystemThread("probe", 28, [&]() -> ThreadBody {
+      co_await sys.kernel().Wait(&wake);
+      ran_at = sys.kernel().GetCycleCount();
     });
     sys.RunForMs(2.0);
     sys.engine().ScheduleAfter(0, [&] {
